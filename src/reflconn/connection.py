@@ -23,6 +23,7 @@ from .invariants import InvariantTuple
 from .linalg import adjugate, det
 from .poly import MPoly, RatFun
 from .rewrite import Rewriter
+from .verify import CheckResult, check_determinant_character, check_equivariance
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,16 @@ class JacobianData:
 
 @dataclass(frozen=True)
 class ScaledConnection:
-    """Polynomial numerator matrices P_l and the common denominator D^m."""
+    """Polynomial numerator matrices P_l and the common denominator D^m.
+
+    checks holds the group checks run while building it; empty when it
+    was built without a group.
+    """
 
     numerators: tuple[tuple[tuple[MPoly, ...], ...], ...]
     det_power: MPoly
     m: int
+    checks: tuple[CheckResult, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,57 +102,29 @@ def delta_apply(ell: int, f: MPoly, jd: JacobianData) -> RatFun:
     return RatFun(num, jd.det)
 
 
-# direct entrywise invariance checks are skipped above this total degree;
-# invariance of larger entries is still certified downstream, because the
-# rewriting step succeeds exactly on members of the invariant subring
-_DIRECT_CHECK_MAX_DEGREE = 36
-
-
-def _check_group_compatibility(jd: JacobianData, group: GroupData) -> None:
-    """Cheap proof-grade checks that the invariants belong to the group:
-    equivariance of the Jacobian and relative invariance of its determinant."""
-    from .linalg import det as _det
-
-    n = len(jd.jac)
-    for gen in group.generators():
-        jm = tuple(
-            tuple(
-                sum(
-                    (jd.jac[r][t] * gen[t][c] for t in range(1, n)),
-                    jd.jac[r][0] * gen[0][c],
-                )
-                for c in range(n)
-            )
-            for r in range(n)
-        )
-        for r in range(n):
-            for c in range(n):
-                if jd.jac[r][c].substitute_linear(gen) != jm[r][c]:
-                    raise NonInvariantEntry(
-                        "Jacobian is not equivariant under a group generator"
-                    )
-        if jd.det.substitute_linear(gen) != jd.det * _det(gen):
-            raise NonInvariantEntry(
-                "Jacobian determinant is not a relative invariant"
-            )
-        if _det(gen) ** jd.m != 1:
-            raise NonInvariantEntry(
-                "scaling exponent does not kill the determinant character"
-            )
-
-
 def scaled_connection(
     jd: JacobianData, group: GroupData | None = None
 ) -> ScaledConnection:
     """Numerator matrices P_l with common denominator D^m, fully polynomial.
 
-    When a group is supplied, entries are checked to be homogeneous of the
-    predicted degree and invariant: small entries directly, large ones via
-    Jacobian equivariance plus the relative invariance of the determinant.
+    Every entry is checked to be homogeneous of the predicted degree.  When
+    a group is supplied, the Jacobian equivariance and determinant-character
+    checks of `verify` run once here; together they imply that every entry
+    of P_l and D^m is invariant.  Their results are kept on the returned
+    ScaledConnection, and a failure raises NonInvariantEntry.
     """
     n = len(jd.jac)
+    checks = ()
     if group is not None:
-        _check_group_compatibility(jd, group)
+        checks = tuple(
+            check_equivariance(jd, group).checks
+            + check_determinant_character(jd, group).checks
+        )
+        failed = next((c for c in checks if not c.passed), None)
+        if failed is not None:
+            raise NonInvariantEntry(
+                f"check {failed.name} failed, witness: {failed.witness}"
+            )
     d_partials = [
         tuple(tuple(jd.jac[i][j].partial(k + 1) for j in range(n)) for i in range(n))
         for k in range(n)
@@ -204,19 +182,10 @@ def scaled_connection(
                         f"entry ({r + 1},{c + 1}) of P_{ell + 1} has degree "
                         f"{entry.total_degree()}, expected {expected}"
                     )
-                if (
-                    group is not None
-                    and entry.total_degree() <= _DIRECT_CHECK_MAX_DEGREE
-                    and not all(
-                        entry.substitute_linear(gen) == entry
-                        for gen in group.generators()
-                    )
-                ):
-                    raise NonInvariantEntry(
-                        f"entry ({r + 1},{c + 1}) of P_{ell + 1} is not invariant"
-                    )
         numerators.append(p)
-    return ScaledConnection(numerators=tuple(numerators), det_power=det_power, m=jd.m)
+    return ScaledConnection(
+        numerators=tuple(numerators), det_power=det_power, m=jd.m, checks=checks
+    )
 
 
 def connection_in_x(jd: JacobianData) -> tuple[tuple[tuple[RatFun, ...], ...], ...]:

@@ -90,9 +90,14 @@ def _power_reductions(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    d = len(cyclotomic_coeffs(n)) - 1
+    phi = cyclotomic_coeffs(n)
+    d = len(phi) - 1
     out = [_ZERO] * d
     table = _power_reductions(n)
+    if len(coeffs) > len(table):
+        # e.g. zeta^k with k >= 2*phi(N) - 1; a product of two reduced
+        # vectors always fits the table
+        _, coeffs = _frac_poly_divmod(coeffs, [Fraction(c) for c in phi])
     for k, c in enumerate(coeffs):
         if not c:
             continue

@@ -29,6 +29,10 @@ class SingularMatrix(ReflconnError):
     pass
 
 
+class InvalidSpec(ReflconnError, ValueError):
+    """A group specification is malformed (bad conductor, rank or generators)."""
+
+
 class CapExceeded(ReflconnError):
     """Group closure exceeded the configured element cap."""
 

@@ -9,6 +9,7 @@ from math import lcm
 from .cyclo import CycloNum
 from .errors import (
     CapExceeded,
+    InvalidSpec,
     NotAMember,
     NotAReflectionGroup,
     SingularMatrix,
@@ -163,6 +164,10 @@ def parse_matrix(rows, conductor: int) -> Matrix:
     )
 
 
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def group_from_spec(spec: dict) -> GroupData:
     """Build and validate a group from the JSON group-specification format.
 
@@ -170,16 +175,38 @@ def group_from_spec(spec: dict) -> GroupData:
     each a list of rows of scalar strings); optional cap.
     """
     conductor = spec.get("conductor", 12)
-    rank = spec["rank"]
-    gens = [parse_matrix(g, conductor) for g in spec["generators"]]
-    for g in gens:
-        if len(g) != rank:
-            raise ValueError("generator rank does not match spec rank")
+    rank = spec.get("rank")
+    generators = spec.get("generators")
+    if not _is_positive_int(conductor):
+        raise InvalidSpec(f"conductor must be a positive integer, got {conductor!r}")
+    if not _is_positive_int(rank):
+        raise InvalidSpec(f"rank must be a positive integer, got {rank!r}")
+    if not isinstance(generators, list) or not generators:
+        raise InvalidSpec("generators must be a non-empty list of matrices")
+    for g in generators:
+        if not isinstance(g, list) or len(g) != rank or any(
+            not isinstance(row, list)
+            or len(row) != rank
+            or not all(isinstance(e, str) for e in row)
+            for row in g
+        ):
+            raise InvalidSpec(
+                f"generator {g!r} is not a {rank}x{rank} matrix of entry strings"
+            )
     cap = spec.get("cap", DEFAULT_CAP)
+    if not _is_positive_int(cap):
+        raise InvalidSpec(f"cap must be a positive integer, got {cap!r}")
+    gens = [parse_matrix(g, conductor) for g in generators]
     group = close_group(gens, cap=cap, name=spec.get("name", ""))
     return validate_reflection_group(group)
 
 
 def load_group_spec(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"spec file is not valid JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise InvalidSpec("spec file must hold a JSON object")
+    return spec

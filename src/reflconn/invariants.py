@@ -12,6 +12,7 @@ from .cyclo import CycloNum
 from .errors import (
     DegreeSearchFailed,
     IndependenceSearchFailed,
+    InvalidSpec,
     UnknownGroup,
 )
 from .groups import GroupData, group_from_spec
@@ -28,10 +29,6 @@ class InvariantTuple:
     phis: tuple[MPoly, ...]
     degrees: tuple[int, ...]
     source: str  # "catalog" or "reynolds"
-
-
-def apply_group_element(f: MPoly, m) -> MPoly:
-    return f.substitute_linear(m)
 
 
 def reynolds(f: MPoly, group: GroupData) -> MPoly:
@@ -214,8 +211,6 @@ def _invariant_basis(group: GroupData, degree: int):
 
 def fundamental_invariants(group: GroupData, max_degree: int = 64) -> InvariantTuple:
     """Reynolds-derived fundamental invariants with nonzero Jacobian."""
-    from .linalg import det as _det
-
     degrees = invariant_degrees(group, max_degree=max_degree)
     candidates = {d: _invariant_basis(group, d) for d in sorted(set(degrees))}
     slots = list(degrees)
@@ -233,7 +228,7 @@ def fundamental_invariants(group: GroupData, max_degree: int = 64) -> InvariantT
             continue
         phis = tuple(candidates[d][i] for d, i in zip(slots, combo))
         jac = [[phi.partial(j + 1) for j in range(group.rank)] for phi in phis]
-        if _det(jac):
+        if mat_det(jac):
             return InvariantTuple(phis=phis, degrees=tuple(slots), source="reynolds")
     raise IndependenceSearchFailed(
         "no algebraically independent combination of invariants found"
@@ -267,6 +262,10 @@ def load_catalog_spec(name: str) -> dict:
 
 
 def invariants_from_spec(spec: dict, group: GroupData) -> InvariantTuple:
+    if not isinstance(spec["invariants"], list) or not all(
+        isinstance(s, str) for s in spec["invariants"]
+    ):
+        raise InvalidSpec("invariants must be a list of polynomial strings")
     phis = tuple(
         parse_expr(s, alphabet="x", nvars=group.rank, conductor=group.conductor)
         for s in spec["invariants"]

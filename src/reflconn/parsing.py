@@ -125,6 +125,8 @@ class _Parser:
                 k2, v2, pos2 = self.next()
                 if k2 != "int":
                     raise ExprSyntaxError("expected denominator", pos2)
+                if int(v2) == 0:
+                    raise ExprSyntaxError("zero denominator", pos2)
                 return self._const(Fraction(num, int(v2)))
             return self._const(num)
         if kind == "name":

@@ -14,6 +14,7 @@ from .connection import ConnectionSystem
 from .cyclo import CycloNum
 from .errors import DenominatorMismatch
 from .invariants import InvariantTuple
+from .linalg import InconsistentSystem, UnderdeterminedSystem, solve_unique
 from .parsing import parse_expr
 from .poly import MPoly, RatFun
 
@@ -39,20 +40,14 @@ def to_readable_basis(c: CycloNum):
     if c.conductor % 12 != 0 or len(c.coeffs) != 4:
         return None
     basis = _basis_vectors(c.conductor)
-    # 4x4 rational solve by Gaussian elimination over Fraction
-    rows = [[basis[j].coeffs[k] for j in range(4)] + [c.coeffs[k]] for k in range(4)]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if rows[r][col]), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [e * inv for e in rows[col]]
-        for r in range(4):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return tuple(rows[k][4] for k in range(4))
+    # 4x4 rational solve over Q, i.e. conductor-1 cyclotomic numbers
+    rows = [[CycloNum.from_rational(b.coeffs[k], 1) for b in basis] for k in range(4)]
+    rhs = [CycloNum.from_rational(q, 1) for q in c.coeffs]
+    try:
+        coords = solve_unique(rows, rhs)
+    except (InconsistentSystem, UnderdeterminedSystem):
+        return None
+    return tuple(q.rational_value() for q in coords)
 
 
 def _readable_coeff(c: CycloNum, latex: bool) -> str:

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .connection import ConnectionSystem, JacobianData, ScaledConnection
 from .errors import DenominatorMismatch
 from .groups import GroupData
-from .invariants import InvariantTuple
-from .linalg import det
-from .poly import MPoly, RatFun
+from .invariants import InvariantTuple, is_invariant
+from .linalg import det, mat_mul, mat_sub
+from .poly import RatFun
+
+if TYPE_CHECKING:
+    from .connection import ConnectionSystem, JacobianData, ScaledConnection
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,8 @@ class VerificationReport:
         }
 
 
-def check_invariance(f: MPoly, group: GroupData) -> bool:
-    """gamma_M(f) == f for every generator M."""
-    return all(f.substitute_linear(m) == f for m in group.generators())
+# gamma_M(f) == f for every generator M; one predicate under both names
+check_invariance = is_invariant
 
 
 def check_equivariance(jd: JacobianData, group: GroupData) -> VerificationReport:
@@ -79,12 +81,10 @@ def check_equivariance(jd: JacobianData, group: GroupData) -> VerificationReport
         t0 = time.perf_counter()
         witness = ""
         ok = True
+        rhs = mat_mul(jd.jac, gen)
         for r in range(n):
             for c in range(n):
-                rhs = jd.jac[r][0] * gen[0][c]
-                for t in range(1, n):
-                    rhs = rhs + jd.jac[r][t] * gen[t][c]
-                if jd.jac[r][c].substitute_linear(gen) != rhs:
+                if jd.jac[r][c].substitute_linear(gen) != rhs[r][c]:
                     ok = False
                     witness = f"generator {gi}, entry ({r + 1},{c + 1})"
                     break
@@ -112,8 +112,9 @@ def check_determinant_character(jd: JacobianData, group: GroupData) -> Verificat
             time.perf_counter() - t0,
         )
     t0 = time.perf_counter()
-    ok = all(det(gen) ** jd.m == 1 for gen in group.generators())
-    report.add("det_power_invariant", ok, "", time.perf_counter() - t0)
+    bad = [gi for gi, gen in enumerate(group.generators()) if det(gen) ** jd.m != 1]
+    witness = f"generator {bad[0]}" if bad else ""
+    report.add("det_power_invariant", not bad, witness, time.perf_counter() - t0)
     return report
 
 
@@ -121,23 +122,8 @@ def _mat_partial(p, index: int):
     return tuple(tuple(e.partial(index) for e in row) for row in p)
 
 
-def _mat_mul_poly(a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][t] * b[t][j] for t in range(1, n)), a[i][0] * b[0][j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 def _mat_scale(p, s):
     return tuple(tuple(e * s for e in row) for row in p)
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def check_integrability(cs: ConnectionSystem) -> VerificationReport:
@@ -159,17 +145,17 @@ def check_integrability(cs: ConnectionSystem) -> VerificationReport:
         for j in range(i + 1, n):
             t0 = time.perf_counter()
             pi, pj = cs.numerators[i], cs.numerators[j]
-            lhs = _mat_sub(
-                _mat_sub(
+            lhs = mat_sub(
+                mat_sub(
                     _mat_scale(_mat_partial(pj, i + 1), q),
                     _mat_scale(pj, q.partial(i + 1)),
                 ),
-                _mat_sub(
+                mat_sub(
                     _mat_scale(_mat_partial(pi, j + 1), q),
                     _mat_scale(pi, q.partial(j + 1)),
                 ),
             )
-            rhs = _mat_sub(_mat_mul_poly(pi, pj), _mat_mul_poly(pj, pi))
+            rhs = mat_sub(mat_mul(pi, pj), mat_mul(pj, pi))
             witness = ""
             ok = True
             size = len(pi)
@@ -221,17 +207,20 @@ def full_report(
 ) -> VerificationReport:
     """All checks for a freshly computed system, in one report.
 
+    The equivariance and determinant-character results are the ones that
+    scaled_connection(jd, group) ran and kept on sc; they run here only
+    when sc was built without a group.
+
     The Picard-Vessiot property of the resulting system is a theorem given
     the construction plus these identities; it has no finite symbolic
     certificate of its own and is not machine-checked here.
     """
-    report = VerificationReport()
-    for sub in (
-        check_equivariance(jd, group),
-        check_determinant_character(jd, group),
-        check_integrability(cs),
-        cross_validate(cs, sc, phi),
-    ):
+    group_checks = list(sc.checks) or (
+        check_equivariance(jd, group).checks
+        + check_determinant_character(jd, group).checks
+    )
+    report = VerificationReport(group_checks)
+    for sub in (check_integrability(cs), cross_validate(cs, sc, phi)):
         report.checks.extend(sub.checks)
     t0 = time.perf_counter()
     inv_ok = all(check_invariance(p, group) for p in phi.phis)

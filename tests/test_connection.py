@@ -175,3 +175,22 @@ class TestConnectionSystem:
         _, _, _, _, cs = pipeline("G(2,1,2)")
         # det(J)^2 = 16 x1^2 x2^2 (x1^2 - x2^2)^2 rewrites to 16 z2 (z1^2 - 4 z2)
         assert cs.denominator == pz("16*z1^2*z2 - 64*z2^2")
+
+
+class TestGroupGate:
+    def test_non_invariant_g4_input_names_check_and_witness(self):
+        group, inv = catalog("G4")
+        bogus = InvariantTuple(
+            phis=(inv.phis[0], px("x1^6 + x2^6")), degrees=(4, 6), source="catalog"
+        )
+        jd = jacobian(bogus, det_char_order=group.det_char_order)
+        with pytest.raises(NonInvariantEntry) as info:
+            scaled_connection(jd, group=group)
+        message = str(info.value)
+        assert "jacobian_equivariance[gen 0]" in message
+        assert "witness: generator 0, entry (2,1)" in message
+
+    def test_group_checks_kept_only_when_a_group_is_given(self):
+        group, _, jd, sc, _ = pipeline("G4")
+        assert sc.checks and all(c.passed for c in sc.checks)
+        assert scaled_connection(jd).checks == ()

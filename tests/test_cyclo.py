@@ -146,3 +146,16 @@ class TestFieldAxioms:
         assert (a == b) == (a.coeffs == b.coeffs)
         if a == b:
             assert hash(a) == hash(b)
+
+
+class TestZetaPowers:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 24])
+    def test_powers_are_roots_of_unity_and_multiply(self, n):
+        powers = {k: CycloNum.zeta(n, k) for k in range(-n, 2 * n)}
+        for k, z in powers.items():
+            assert z ** n == 1
+            for j, w in powers.items():
+                assert w * z == CycloNum.zeta(n, j + k)
+
+    def test_zeta_two_is_minus_one(self):
+        assert CycloNum.zeta(2, 1) == -1

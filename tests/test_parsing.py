@@ -88,3 +88,9 @@ class TestRoundTrip:
     def test_print_parse_is_identity(self):
         f = px("1/3*x1^2 - x2^2 + (zeta - 2*zeta^3)*x1*x2")
         assert px(str(f)) == f
+
+
+def test_zero_denominator_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("1/0")
+    assert info.value.position == 2

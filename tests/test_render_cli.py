@@ -1,10 +1,15 @@
 """Rendering (text/JSON/LaTeX), serialization round trips, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reflconn
 from reflconn.cli import main
 from reflconn.cyclo import CycloNum
 from reflconn.errors import DenominatorMismatch
@@ -207,3 +212,66 @@ class TestCli:
             "compute", "--group", "G(2,1,2)", "--format", "latex",
         ]) == 0
         assert r"\begin{pmatrix}" in capsys.readouterr().out
+
+
+def _run_cli(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a
+    traceback on stderr instead of propagating into the test."""
+    src = str(Path(reflconn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "reflconn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _spec_file(tmp_path, spec):
+    """A spec file holding spec as JSON, or the text itself if spec is a str."""
+    path = tmp_path / "spec.json"
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    return str(path)
+
+
+BAD_INPUTS = {
+    "zero_denominator": (["rewrite", "1/0", "--group", "G4"], None),
+    "conductor_zero": (
+        ["compute"], dict(name="c0", conductor=0, rank=1, generators=[[["-1"]]])
+    ),
+    "rank_mismatch": (
+        ["compute"],
+        dict(name="bad", conductor=12, rank=3, generators=[[["0", "1"], ["1", "0"]]]),
+    ),
+    "numeric_entry": (
+        ["compute"], dict(name="n", conductor=12, rank=1, generators=[[[-1]]])
+    ),
+    "numeric_invariant": (
+        ["compute"],
+        dict(name="n", conductor=12, rank=1, generators=[[["-1"]]], invariants=[2]),
+    ),
+    "text_cap": (
+        ["compute"], dict(name="n", conductor=12, rank=1, generators=[[["-1"]]], cap="x")
+    ),
+    "not_a_json_object": (["compute"], ["a", "list"]),
+    "invalid_json": (["compute"], "{not json"),
+}
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_2_without_traceback(self, case, tmp_path):
+        argv, spec = BAD_INPUTS[case]
+        if spec is not None:
+            argv = argv + ["--spec-file", _spec_file(tmp_path, spec)]
+        proc = _run_cli(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    def test_conductor_two_zeta_spec_computes(self, tmp_path):
+        path = _spec_file(
+            tmp_path, dict(name="C2", conductor=2, rank=1, generators=[[["zeta"]]])
+        )
+        proc = _run_cli("compute", "--spec-file", path)
+        assert proc.returncode == 0, proc.stderr
+        assert "z1 = x1^2" in proc.stdout

@@ -116,3 +116,32 @@ class TestReport:
         assert not r.all_passed
         assert "witness: entry (2,2)" in r.render()
         assert "[FAIL] demo" in r.render()
+
+
+G4_REPORT_NAMES = [
+    "jacobian_equivariance[gen 0]",
+    "jacobian_equivariance[gen 1]",
+    "det_relative_invariance[gen 0]",
+    "det_relative_invariance[gen 1]",
+    "det_power_invariant",
+    "integrability[1,2]",
+    "cross_validation[A_1]",
+    "cross_validation[A_2]",
+    "invariants_fixed_by_generators",
+]
+
+
+class TestReportOrder:
+    def test_full_report_reuses_scaled_connection_checks(self):
+        group, inv, jd, sc, cs = pipeline("G4")
+        report = full_report(group, inv, jd, sc, cs)
+        assert [c.name for c in report.checks] == G4_REPORT_NAMES
+        assert report.checks[:5] == list(sc.checks)
+        assert report.all_passed
+
+    def test_full_report_runs_group_checks_without_them(self):
+        group, inv, jd, sc, cs = pipeline("G4")
+        bare = dataclasses.replace(sc, checks=())
+        report = full_report(group, inv, jd, bare, cs)
+        assert [c.name for c in report.checks] == G4_REPORT_NAMES
+        assert report.all_passed
