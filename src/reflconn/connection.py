@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NonInvariantEntry, SingularJacobian
 from .groups import GroupData
 from .invariants import InvariantTuple
-from .linalg import adjugate, det
+from .linalg import adjugate, det, mat_mul
 from .poly import MPoly, RatFun
 from .rewrite import Rewriter
 from .verify import CheckResult, check_determinant_character, check_equivariance
@@ -135,32 +135,14 @@ def scaled_connection(
     refl_count = sum(dd - 1 for dd in degs)
     numerators = []
     for ell in range(n):
-        # sum_i adj_{i,ell} * dJ/dx_i
-        acc = None
-        for i in range(n):
-            contrib = tuple(
-                tuple(jd.adj[i][ell] * d_partials[i][r][c] for c in range(n))
-                for r in range(n)
-            )
-            if acc is None:
-                acc = contrib
-            else:
-                acc = tuple(
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(acc, contrib)
-                )
-        # right-multiply by adj, then scale by D^{m-2}
-        p = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                entry = acc[r][0] * jd.adj[0][c]
-                for t in range(1, n):
-                    entry = entry + acc[r][t] * jd.adj[t][c]
-                entry = entry * scale
-                row.append(entry)
-            p.append(tuple(row))
-        p = tuple(p)
+        # D^{m-2} * (sum_i adj_{i,ell} * dJ/dx_i) * adj
+        acc = [[jd.adj[0][ell] * e for e in row] for row in d_partials[0]]
+        for i in range(1, n):
+            acc = [
+                [a + jd.adj[i][ell] * e for a, e in zip(ra, row)]
+                for ra, row in zip(acc, d_partials[i])
+            ]
+        p = tuple(tuple(e * scale for e in row) for row in mat_mul(acc, jd.adj))
         for r in range(n):
             for c in range(n):
                 entry = p[r][c]

@@ -10,10 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConductorMismatch
+from .errors import ConductorMismatch, InvalidSpec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Largest conductor accepted anywhere.  Every field is built through
+# cyclotomic_coeffs, so this one check bounds spec files and stored
+# artifacts alike; the reduction table of Q(zeta_N) holds about
+# 2*phi(N)^2 rationals.
+MAX_CONDUCTOR = 1000
 
 
 def euler_phi(n: int) -> int:
@@ -31,23 +37,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient/remainder of integer polynomials (lists low-to-high), den monic."""
-    num = list(num)
-    dden = len(den) - 1
-    quot = [0] * max(1, len(num) - dden)
-    for k in range(len(num) - 1, dden - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        quot[k - dden] = c
-        for j, d in enumerate(den):
-            num[k - dden + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (low-to-high) of the n-th cyclotomic polynomial.
@@ -55,18 +44,16 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     Computed by dividing y^n - 1 by the product of the cyclotomic
     polynomials of the proper divisors of n.
     """
-    if n < 1:
-        raise ValueError("conductor must be positive")
+    if not 1 <= n <= MAX_CONDUCTOR:
+        raise InvalidSpec(f"conductor must be in 1..{MAX_CONDUCTOR}, got {n}")
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
+    num = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod_int(num, list(cyclotomic_coeffs(d)))
+            num, rem = _frac_poly_divmod(num, list(cyclotomic_coeffs(d)))
             assert rem == [0]
-    return tuple(num)
+    return tuple(int(c) for c in num)
 
 
 @lru_cache(maxsize=None)

@@ -131,13 +131,15 @@ def validate_reflection_group(group: GroupData) -> GroupData:
     if not refl:
         raise NotAReflectionGroup("group contains no reflection")
 
-    # closure of the reflections inside the (finite) element set
+    # closure of the reflections inside the (finite) element set; G is
+    # generated by its generators, so it is reached once they all are
     element_index = {m: i for i, m in enumerate(group.elements)}
+    gens = set(group.generator_indices)
     reached = set(refl)
     reached.add(0)
     frontier = list(reached)
     refl_mats = [group.elements[i] for i in refl]
-    while frontier:
+    while frontier and not gens <= reached:
         nxt = []
         for i in frontier:
             for r in refl_mats:
@@ -146,14 +148,15 @@ def validate_reflection_group(group: GroupData) -> GroupData:
                     reached.add(j)
                     nxt.append(j)
         frontier = nxt
-    if len(reached) != group.order:
+    if not gens <= reached:
         raise NotAReflectionGroup(
             f"reflections generate only {len(reached)} of {group.order} elements"
         )
 
+    # det is a homomorphism, so the generators' determinants generate its image
     e = 1
-    for m in group.elements:
-        e = lcm(e, det(m).multiplicative_order(cap=group.order + 1))
+    for g in group.generators():
+        e = lcm(e, det(g).multiplicative_order(cap=group.order + 1))
     return replace(group, reflection_indices=tuple(refl), det_char_order=e)
 
 

@@ -48,46 +48,16 @@ def is_invariant(f: MPoly, group: GroupData) -> bool:
 
 # -- Molien series ----------------------------------------------------------
 
-def _tpoly_mul(a, b, precision):
-    out = [None] * min(len(a) + len(b) - 1, precision)
-    zero = a[0] - a[0]
-    out = [zero for _ in out]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= precision:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def _char_poly_one_minus_tm(m, conductor):
-    """Coefficients (in t) of det(I - t*M) by Laplace expansion."""
+    """Coefficients (in t) of det(I - t*M), by Laplace expansion over MPoly."""
     n = len(m)
-    one = CycloNum.one(conductor)
-    zero = CycloNum.zero(conductor)
-
-    def entry(i, j):
-        # (I - tM)_{ij} as a t-polynomial
-        const = one if i == j else zero
-        return [const, -m[i][j]]
-
-    def tdet(rows, cols):
-        if len(rows) == 1:
-            return entry(rows[0], cols[0])
-        acc = None
-        for k, c in enumerate(cols):
-            sub = tdet(rows[1:], cols[:k] + cols[k + 1 :])
-            term = _tpoly_mul(entry(rows[0], c), sub, n + 1)
-            if k % 2:
-                term = [-x for x in term]
-            acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-        return acc
-
-    idx = tuple(range(n))
-    return tdet(idx, idx)
+    t = MPoly.variable(1, "x", 1, conductor)
+    i_minus_tm = [
+        [MPoly.constant(int(i == j), "x", 1, conductor) - t * m[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+    d = mat_det(i_minus_tm)
+    return [d.coefficient((k,)) for k in range(n + 1)]
 
 
 def _series_inverse(poly, precision, conductor):

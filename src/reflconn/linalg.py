@@ -2,8 +2,10 @@
 
 Determinant and adjugate are generic Laplace expansions that work for any
 ring whose elements support +, -, * (CycloNum scalars as well as MPoly
-entries).  Row reduction and solving are restricted to CycloNum, where
-every nonzero pivot is invertible.
+entries): they serve the Jacobian, and the one-variable t-polynomials
+det(I - tM) of the Molien series.  mat_inverse serves the group action
+f(x) -> f(x * M^{-T}).  Row reduction and solving are restricted to
+CycloNum, where every nonzero pivot is invertible.
 """
 
 from __future__ import annotations
@@ -72,12 +74,7 @@ def adjugate(matrix):
     n = len(matrix)
     if n == 1:
         # adjugate of a 1x1 matrix is (1) in the same ring
-        entry = matrix[0][0]
-        if isinstance(entry, CycloNum):
-            return ((CycloNum.one(entry.conductor),),)
-        from .poly import MPoly
-
-        return ((MPoly.constant(1, entry.alphabet, entry.nvars, entry.conductor),),)
+        return ((matrix[0][0] ** 0,),)
     adj = []
     for i in range(n):
         row = []

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .cyclo import CycloNum, cyclotomic_coeffs
 from .errors import ConductorMismatch, NotDivisible, NonHomogeneousInput
+from .linalg import mat_inverse
 
 
 def grlex_key(exps: tuple[int, ...]):
@@ -260,26 +261,13 @@ class MPoly:
 
     def substitute_linear(self, matrix) -> "MPoly":
         """Apply the group action f(x) -> f(x * M^{-T}) for an invertible M."""
-        from .linalg import adjugate, det
-        from .errors import SingularMatrix
-
+        # x_j maps to sum_i B[i][j] * x_i with B = M^{-T}, so its
+        # coefficients are row j of M^{-1}
         n = self.nvars
-        d = det(matrix)
-        if not d:
-            raise SingularMatrix("group action by a singular matrix")
-        adj = adjugate(matrix)
-        d_inv = d.inverse()
-        # B = M^{-T}; inverse = adj/det, then transpose.
-        b = [[adj[j][i] * d_inv for j in range(n)] for i in range(n)]
-        # x_j maps to sum_i B[i][j] * x_i
-        images = []
-        for j in range(n):
-            terms = {}
-            for i in range(n):
-                if b[i][j]:
-                    exps = tuple(1 if k == i else 0 for k in range(n))
-                    terms[exps] = b[i][j]
-            images.append(self._like(terms))
+        images = [
+            self._like({tuple(int(k == i) for k in range(n)): c for i, c in enumerate(row)})
+            for row in mat_inverse(matrix)
+        ]
         return self.compose(images)
 
     # -- equality & printing -------------------------------------------------

@@ -9,45 +9,43 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .connection import ConnectionSystem
 from .cyclo import CycloNum
 from .errors import DenominatorMismatch
 from .invariants import InvariantTuple
-from .linalg import InconsistentSystem, UnderdeterminedSystem, solve_unique
+from .linalg import mat_inverse
 from .parsing import parse_expr
 from .poly import MPoly, RatFun
 
 
 # -- readable coefficients ---------------------------------------------------
 
-def _basis_vectors(conductor: int):
+@lru_cache(maxsize=None)
+def _readable_basis_inverse(conductor: int):
+    """Inverse of the matrix whose columns are 1, i, sqrt(3), i*sqrt(3)
+    written in the zeta basis, as rationals."""
     z = CycloNum.zeta(conductor)
-    one = CycloNum.one(conductor)
-    quarter = conductor // 4
+    i = z ** (conductor // 4)
     twelfth = conductor // 12
-    i = z ** quarter
     sqrt3 = z ** twelfth + z ** (-twelfth % conductor)
-    return [one, i, sqrt3, i * sqrt3]
+    basis = [CycloNum.one(conductor), i, sqrt3, i * sqrt3]
+    # over Q, i.e. conductor-1 cyclotomic numbers
+    rows = [[CycloNum.from_rational(b.coeffs[k], 1) for b in basis] for k in range(4)]
+    return tuple(tuple(e.rational_value() for e in row) for row in mat_inverse(rows))
 
 
 def to_readable_basis(c: CycloNum):
     """Coordinates (a, b, s, t) with c = a + b*i + s*sqrt(3) + t*i*sqrt(3).
 
-    Returns None when the conductor is not a multiple of 12 or the solve
-    is not possible.
+    Returns None unless the conductor is a multiple of 12 of degree 4,
+    which leaves N = 12, where these four numbers are a basis over Q.
     """
     if c.conductor % 12 != 0 or len(c.coeffs) != 4:
         return None
-    basis = _basis_vectors(c.conductor)
-    # 4x4 rational solve over Q, i.e. conductor-1 cyclotomic numbers
-    rows = [[CycloNum.from_rational(b.coeffs[k], 1) for b in basis] for k in range(4)]
-    rhs = [CycloNum.from_rational(q, 1) for q in c.coeffs]
-    try:
-        coords = solve_unique(rows, rhs)
-    except (InconsistentSystem, UnderdeterminedSystem):
-        return None
-    return tuple(q.rational_value() for q in coords)
+    inv = _readable_basis_inverse(c.conductor)
+    return tuple(sum(a * q for a, q in zip(row, c.coeffs)) for row in inv)
 
 
 def _readable_coeff(c: CycloNum, latex: bool) -> str:

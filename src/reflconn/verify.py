@@ -69,6 +69,18 @@ class VerificationReport:
         }
 
 
+def _first_mismatch(lhs, rhs) -> str:
+    """'entry (r,c)' for the first entry where two matrices differ, else ''.
+
+    Rows and entries may be generators, so nothing past a mismatch is built.
+    """
+    for r, (row_l, row_r) in enumerate(zip(lhs, rhs)):
+        for c, (a, b) in enumerate(zip(row_l, row_r)):
+            if a != b:
+                return f"entry ({r + 1},{c + 1})"
+    return ""
+
+
 # gamma_M(f) == f for every generator M; one predicate under both names
 check_invariance = is_invariant
 
@@ -76,20 +88,12 @@ check_invariance = is_invariant
 def check_equivariance(jd: JacobianData, group: GroupData) -> VerificationReport:
     """gamma_M(J) == J * M entrywise for every generator."""
     report = VerificationReport()
-    n = len(jd.jac)
     for gi, gen in enumerate(group.generators()):
         t0 = time.perf_counter()
-        witness = ""
-        ok = True
-        rhs = mat_mul(jd.jac, gen)
-        for r in range(n):
-            for c in range(n):
-                if jd.jac[r][c].substitute_linear(gen) != rhs[r][c]:
-                    ok = False
-                    witness = f"generator {gi}, entry ({r + 1},{c + 1})"
-                    break
-            if not ok:
-                break
+        lhs = ((e.substitute_linear(gen) for e in row) for row in jd.jac)
+        where = _first_mismatch(lhs, mat_mul(jd.jac, gen))
+        ok = not where
+        witness = f"generator {gi}, {where}" if where else ""
         report.add(
             f"jacobian_equivariance[gen {gi}]",
             ok,
@@ -156,17 +160,9 @@ def check_integrability(cs: ConnectionSystem) -> VerificationReport:
                 ),
             )
             rhs = mat_sub(mat_mul(pi, pj), mat_mul(pj, pi))
-            witness = ""
-            ok = True
-            size = len(pi)
-            for r in range(size):
-                for c in range(size):
-                    if lhs[r][c] != rhs[r][c]:
-                        ok = False
-                        witness = f"pair ({i + 1},{j + 1}), entry ({r + 1},{c + 1})"
-                        break
-                if not ok:
-                    break
+            where = _first_mismatch(lhs, rhs)
+            ok = not where
+            witness = f"pair ({i + 1},{j + 1}), {where}" if where else ""
             report.add(
                 f"integrability[{i + 1},{j + 1}]", ok, witness, time.perf_counter() - t0
             )
@@ -182,18 +178,11 @@ def cross_validate(
     n = cs.rank
     for ell in range(n):
         t0 = time.perf_counter()
-        ok = True
-        witness = ""
-        for r in range(len(cs.matrices[ell])):
-            for c in range(len(cs.matrices[ell])):
-                back = cs.matrices[ell][r][c].compose(args)
-                x_form = RatFun(sc.numerators[ell][r][c], sc.det_power)
-                if back != x_form:
-                    ok = False
-                    witness = f"A_{ell + 1} entry ({r + 1},{c + 1})"
-                    break
-            if not ok:
-                break
+        back = ((e.compose(args) for e in row) for row in cs.matrices[ell])
+        x_form = ((RatFun(e, sc.det_power) for e in row) for row in sc.numerators[ell])
+        where = _first_mismatch(back, x_form)
+        ok = not where
+        witness = f"A_{ell + 1} {where}" if where else ""
         report.add(f"cross_validation[A_{ell + 1}]", ok, witness, time.perf_counter() - t0)
     return report
 

@@ -107,6 +107,15 @@ class TestValidation:
         with pytest.raises(NotAReflectionGroup):
             validate_reflection_group(close_group([m]))
 
+    def test_reflections_generate_a_proper_subgroup(self):
+        # <diag(-1,1), i*I> has order 8; its reflections diag(-1,1) and
+        # diag(1,-1) generate only the order-4 diagonal sign group
+        i_scalar = parse_matrix([["zeta^3", "0"], ["0", "zeta^3"]], 12)
+        with pytest.raises(
+            NotAReflectionGroup, match=r"^reflections generate only 4 of 8 elements$"
+        ):
+            validate_reflection_group(close_group([DIAG, i_scalar]))
+
 
 class TestCatalogGroups:
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import pytest
 
 from reflconn.errors import UnknownGroup
+from reflconn.groups import close_group, parse_matrix, validate_reflection_group
 from reflconn.invariants import (
     catalog_lookup,
     catalog_names,
@@ -74,6 +75,21 @@ class TestMolien:
     def test_rank_one_degrees(self):
         group, _ = sign_group()
         assert invariant_degrees(group) == (2,)
+
+    def test_series_head_rank_three(self):
+        # G(2,1,3) = B3 over Q: 1/((1-t^2)(1-t^4)(1-t^6)) through the 3x3
+        # determinant of I - tM
+        rows = {
+            "s12": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+            "s23": [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+            "sign": [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        }
+        group = validate_reflection_group(
+            close_group([parse_matrix(m, 1) for m in rows.values()])
+        )
+        assert group.order == 48
+        s = molien_series(group, 9)
+        assert [c.rational_value() for c in s] == [1, 0, 1, 0, 2, 0, 3, 0, 4]
 
 
 class TestFundamentalInvariants:

@@ -252,6 +252,9 @@ BAD_INPUTS = {
     "text_cap": (
         ["compute"], dict(name="n", conductor=12, rank=1, generators=[[["-1"]]], cap="x")
     ),
+    "conductor_huge": (
+        ["compute"], dict(name="big", conductor=1000003, rank=1, generators=[[["-1"]]])
+    ),
     "not_a_json_object": (["compute"], ["a", "list"]),
     "invalid_json": (["compute"], "{not json"),
 }
@@ -264,6 +267,17 @@ class TestInputBoundary:
         if spec is not None:
             argv = argv + ["--spec-file", _spec_file(tmp_path, spec)]
         proc = _run_cli(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    def test_verify_artifact_with_huge_conductor_exits_2(self, tmp_path):
+        group, _, _, _, cs = pipeline("G(2,1,2)")
+        data = system_to_dict(cs, "G(2,1,2)", group.conductor)
+        data["conductor"] = 1000003
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        proc = _run_cli("verify", str(path))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
