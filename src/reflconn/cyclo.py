@@ -1,24 +1,27 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored as coefficient vectors of length phi(N) over Fraction,
-reduced modulo the N-th cyclotomic polynomial, so structural equality is
-field equality and every value is hashable.
+An element is stored as phi(N) integer numerators over one positive
+integer denominator, sum(num[k] * zeta^k) / den, reduced modulo the N-th
+cyclotomic polynomial Phi_N and normalised so that gcd(*num, den) == 1.
+That form is canonical, so structural equality is field equality and every
+value is hashable.  Phi_N is monic with integer coefficients, so a product
+of two reduced numerator vectors reduces with an integer table of powers
+of zeta, and an inverse is an integer product of Galois conjugates over the
+integer field norm: no operation computes with Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import ConductorMismatch, InvalidSpec
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 # Largest conductor accepted anywhere.  Every field is built through
 # cyclotomic_coeffs, so this one check bounds spec files and stored
-# artifacts alike; the reduction table of Q(zeta_N) holds about
-# 2*phi(N)^2 rationals.
+# artifacts alike; the reduction table of Q(zeta_N) holds at most
+# phi(N)^2 integers.
 MAX_CONDUCTOR = 1000
 
 
@@ -48,95 +51,143 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
         raise InvalidSpec(f"conductor must be in 1..{MAX_CONDUCTOR}, got {n}")
     if n == 1:
         return (-1, 1)
-    num = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _frac_poly_divmod(num, list(cyclotomic_coeffs(d)))
-            assert rem == [0]
-    return tuple(int(c) for c in num)
+            num, rem = _monic_divmod(num, cyclotomic_coeffs(d))
+            assert not any(rem)
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _power_reductions(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Vectors expressing zeta^k, k = 0 .. 2*(d-1), in the basis 1..zeta^(d-1)."""
-    phi = cyclotomic_coeffs(n)
-    d = len(phi) - 1
-    rows: list[tuple[Fraction, ...]] = []
-    for k in range(d):
-        rows.append(tuple(_ONE if j == k else _ZERO for j in range(d)))
-    for k in range(d, 2 * d - 1):
-        prev = rows[k - 1]
-        shifted = [_ZERO] + list(prev[:-1])
-        top = prev[-1]
-        if top:
-            # zeta^d = -(phi_0 + ... + phi_{d-1} zeta^{d-1})
-            for j in range(d):
-                shifted[j] -= top * phi[j]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta^k for k = d .. 2*(d-1) in the basis 1 .. zeta^(d-1), d = phi(n).
+
+    Row k - d holds the nonzero (j, c) of zeta^k = sum c * zeta^j; every c
+    is an integer because Phi_n is monic.
+    """
+    d = len(cyclotomic_coeffs(n)) - 1
+    return tuple(
+        tuple((j, c) for j, c in enumerate(_reduce(n, [0] * k + [1])) if c)
+        for k in range(d, 2 * d - 1)
+    )
 
 
-def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = cyclotomic_coeffs(n)
-    d = len(phi) - 1
-    out = [_ZERO] * d
-    table = _power_reductions(n)
-    if len(coeffs) > len(table):
-        # e.g. zeta^k with k >= 2*phi(N) - 1; a product of two reduced
-        # vectors always fits the table
-        _, coeffs = _frac_poly_divmod(coeffs, [Fraction(c) for c in phi])
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k < d:
-            out[k] += c
-        else:
-            row = table[k]
-            for j in range(d):
-                if row[j]:
-                    out[j] += c * row[j]
-    return tuple(out)
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
+def _monic_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (low-to-high) by a monic one."""
     num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    dden = len(den) - 1
-    lead = den[-1]
-    quot = [_ZERO] * max(1, len(num) - dden)
-    for k in range(len(num) - 1, dden - 1, -1):
+    d = len(den) - 1
+    quot = [0] * max(1, len(num) - d)
+    for k in range(len(num) - 1, d - 1, -1):
         c = num[k]
-        if not c:
-            continue
-        q = c / lead
-        quot[k - dden] = q
-        for j, dcf in enumerate(den):
-            num[k - dden + j] -= q * dcf
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return quot, num
+        if c:
+            quot[k - d] = c
+            for j in range(d + 1):
+                num[k - d + j] -= c * den[j]
+    return quot, num[:d] + [0] * (d - len(num))
+
+
+def _reduce(n: int, nums) -> list[int]:
+    """Integer numerators of sum(nums[k] * zeta^k) in the basis 1 .. zeta^(d-1)."""
+    return _monic_divmod(nums, cyclotomic_coeffs(n))[1]
+
+
+def _mul_nums(n: int, a, b) -> list[int]:
+    """Reduced integer numerators of the product of two reduced vectors."""
+    d = len(a)
+    if d == 1:
+        return [a[0] * b[0]]
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                prod[k] += ai * bj
+    out = prod[:d]
+    for c, row in zip(prod[d:], _power_table(n)):
+        if c:
+            for j, t in row:
+                out[j] += c * t
+    return out
+
+
+def _conjugate(n: int, nums, k: int) -> list[int]:
+    """The image of sum(nums[j] * zeta^j) under zeta -> zeta^k."""
+    image = [0] * n
+    for j, c in enumerate(nums):
+        image[j * k % n] += c
+    return _reduce(n, image)
+
+
+def _orbit_product(n: int, y, g: int, m: int) -> list[int]:
+    """prod_{j<m} sigma_{g^j}(y) for m >= 1, by doubling the orbit length."""
+    prod, length = y, 1
+    for bit in bin(m)[3:]:
+        prod = _mul_nums(n, prod, _conjugate(n, prod, pow(g, length, n)))
+        length *= 2
+        if bit == "1":
+            prod = _mul_nums(n, prod, _conjugate(n, y, pow(g, length, n)))
+            length += 1
+    return prod
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators.
+
+    The result is in lowest terms: a prime p dividing that lcm divides the
+    denominator of some value to the full power, and the numerator of that
+    value is scaled by a factor prime to p.
+    """
+    qs = [Fraction(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _canonical(conductor: int, nums, den: int) -> CycloNum:
+    """The CycloNum sum(nums[k] * zeta^k) / den, for reduced nums and den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    obj = object.__new__(CycloNum)
+    obj.conductor = conductor
+    obj._num = tuple(nums)
+    obj._den = den
+    obj._hash = None
+    return obj
 
 
 class CycloNum:
-    """An element of Q(zeta_N), canonically reduced mod the N-th cyclotomic polynomial."""
+    """An element of Q(zeta_N), canonically reduced mod the N-th cyclotomic polynomial.
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    `_num` holds phi(N) integer numerators and `_den` one positive common
+    denominator with gcd(*_num, _den) == 1; `coeffs` is the same value as
+    a tuple of Fractions.
+    """
+
+    __slots__ = ("conductor", "_num", "_den", "_hash")
 
     def __init__(self, conductor: int, coeffs) -> None:
-        self.conductor = conductor
         d = len(cyclotomic_coeffs(conductor)) - 1
         coeffs = tuple(coeffs)
         if len(coeffs) != d:
             raise ValueError(f"expected {d} coefficients for conductor {conductor}")
-        self.coeffs = coeffs
+        nums, den = _over_common_denominator(coeffs)
+        self.conductor = conductor
+        self._num = tuple(nums)
+        self._den = den
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients of 1, zeta, ..., zeta^(phi(N)-1)."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @classmethod
     def from_rational(cls, value, conductor: int) -> CycloNum:
-        q = Fraction(value)
         d = len(cyclotomic_coeffs(conductor)) - 1
-        return cls(conductor, (q,) + (_ZERO,) * (d - 1))
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return _canonical(conductor, (q.numerator,) + (0,) * (d - 1), q.denominator)
 
     @classmethod
     def zero(cls, conductor: int) -> CycloNum:
@@ -149,24 +200,25 @@ class CycloNum:
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> CycloNum:
         power %= conductor
-        return cls(conductor, _reduce(conductor, [_ZERO] * power + [_ONE]))
+        return _canonical(conductor, _reduce(conductor, [0] * power + [1]), 1)
 
     @classmethod
     def from_poly_coeffs(cls, conductor: int, coeffs) -> CycloNum:
-        return cls(conductor, _reduce(conductor, [Fraction(c) for c in coeffs]))
+        nums, den = _over_common_denominator(coeffs)
+        return _canonical(conductor, _reduce(conductor, nums), den)
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -185,9 +237,12 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(
-            self.conductor, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        da, db = self._den, other._den
+        if da == db:
+            nums = [a + b for a, b in zip(self._num, other._num)]
+            return _canonical(self.conductor, nums, da)
+        nums = [a * db + b * da for a, b in zip(self._num, other._num)]
+        return _canonical(self.conductor, nums, da * db)
 
     __radd__ = __add__
 
@@ -195,9 +250,12 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(
-            self.conductor, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        da, db = self._den, other._den
+        if da == db:
+            nums = [a - b for a, b in zip(self._num, other._num)]
+            return _canonical(self.conductor, nums, da)
+        nums = [a * db - b * da for a, b in zip(self._num, other._num)]
+        return _canonical(self.conductor, nums, da * db)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -206,51 +264,50 @@ class CycloNum:
         return other - self
 
     def __neg__(self) -> CycloNum:
-        return CycloNum(self.conductor, tuple(-a for a in self.coeffs))
+        return _canonical(self.conductor, [-a for a in self._num], self._den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        prod = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-        return CycloNum(self.conductor, _reduce(self.conductor, prod))
+        return _canonical(
+            self.conductor,
+            _mul_nums(self.conductor, self._num, other._num),
+            self._den * other._den,
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNum:
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse through the field norm.
+
+        The Galois group of Q(zeta_N) is the units k mod N acting by
+        sigma_k: zeta -> zeta^k.  For the integer numerator a, the product
+        `rest` of sigma(a) over sigma != 1 gives a * rest = norm(a), a
+        nonzero integer, so (a / den)^-1 = den * rest / norm(a).  The
+        product is grown over a chain of subgroups H, each step adjoining
+        one unit g, with O(log |H|) multiplications per step.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_coeffs(self.conductor)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            quot, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            # s_next = s0 - quot * s1
-            prod = [_ZERO] * (len(quot) + len(s1) - 1)
-            for i, qi in enumerate(quot):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] += qi * sj
-            nxt = [_ZERO] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                nxt[i] += c
-            for i, c in enumerate(prod):
-                nxt[i] -= c
-            s0, s1 = s1, nxt
-        # r0 is the gcd, a nonzero constant since Phi_N is irreducible
-        g = r0[0]
-        inv_coeffs = [c / g for c in s0]
-        result = CycloNum(self.conductor, _reduce(self.conductor, inv_coeffs))
-        return result
+        n, a = self.conductor, self._num
+        norm, rest = a, [1] + [0] * (len(a) - 1)  # norm_H(a) and its cofactor
+        subgroup = {1}
+        for g in range(2, n):
+            if g in subgroup or gcd(g, n) != 1:
+                continue
+            order, power = 1, g
+            while power not in subgroup:
+                order, power = order + 1, power * g % n
+            # <H, g> is the union of the cosets g^j H, j < order, so its norm
+            # is norm_H(a) times prod_{0<j<order} sigma_{g^j}(norm_H(a))
+            cofactor = _conjugate(n, _orbit_product(n, norm, g, order - 1), g)
+            norm = _mul_nums(n, norm, cofactor)
+            rest = _mul_nums(n, rest, cofactor)
+            subgroup = {h * pow(g, j, n) % n for h in subgroup for j in range(order)}
+        if norm[0] < 0:
+            rest = [-c for c in rest]
+        return _canonical(n, [c * self._den for c in rest], abs(norm[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -278,13 +335,15 @@ class CycloNum:
         return result
 
     def multiplicative_order(self, cap: int = 10000) -> int:
-        """Order of a root of unity; raises if self**k never reaches 1 below cap."""
-        acc = self
-        one = CycloNum.one(self.conductor)
-        for k in range(1, cap + 1):
-            if acc == one:
+        """Order of a root of unity; raises if it is not one of order at most cap.
+
+        Every root of unity in Q(zeta_N) has an order dividing lcm(2, N), so
+        only those divisors are tried, smallest first.
+        """
+        bound = lcm(2, self.conductor)
+        for k in range(1, min(bound, cap) + 1):
+            if bound % k == 0 and self ** k == 1:
                 return k
-            acc = acc * self
         raise ValueError("element does not appear to be a root of unity")
 
     # -- structure ----------------------------------------------------------
@@ -294,11 +353,15 @@ class CycloNum:
             other = CycloNum.from_rational(other, self.conductor)
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (
+            self.conductor == other.conductor
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.conductor, self.coeffs))
+            self._hash = hash((self.conductor, self._num, self._den))
         return self._hash
 
     def __repr__(self) -> str:

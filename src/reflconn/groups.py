@@ -167,8 +167,16 @@ def parse_matrix(rows, conductor: int) -> Matrix:
     )
 
 
-def _is_positive_int(value) -> bool:
+def is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def is_matrix(value, rank: int, is_entry) -> bool:
+    """Whether value is a rank x rank list of lists of entries passing is_entry."""
+    return isinstance(value, list) and len(value) == rank and all(
+        isinstance(row, list) and len(row) == rank and all(is_entry(e) for e in row)
+        for row in value
+    )
 
 
 def group_from_spec(spec: dict) -> GroupData:
@@ -180,24 +188,19 @@ def group_from_spec(spec: dict) -> GroupData:
     conductor = spec.get("conductor", 12)
     rank = spec.get("rank")
     generators = spec.get("generators")
-    if not _is_positive_int(conductor):
+    if not is_positive_int(conductor):
         raise InvalidSpec(f"conductor must be a positive integer, got {conductor!r}")
-    if not _is_positive_int(rank):
+    if not is_positive_int(rank):
         raise InvalidSpec(f"rank must be a positive integer, got {rank!r}")
     if not isinstance(generators, list) or not generators:
         raise InvalidSpec("generators must be a non-empty list of matrices")
     for g in generators:
-        if not isinstance(g, list) or len(g) != rank or any(
-            not isinstance(row, list)
-            or len(row) != rank
-            or not all(isinstance(e, str) for e in row)
-            for row in g
-        ):
+        if not is_matrix(g, rank, lambda e: isinstance(e, str)):
             raise InvalidSpec(
                 f"generator {g!r} is not a {rank}x{rank} matrix of entry strings"
             )
     cap = spec.get("cap", DEFAULT_CAP)
-    if not _is_positive_int(cap):
+    if not is_positive_int(cap):
         raise InvalidSpec(f"cap must be a positive integer, got {cap!r}")
     gens = [parse_matrix(g, conductor) for g in generators]
     group = close_group(gens, cap=cap, name=spec.get("name", ""))

@@ -7,7 +7,8 @@
     var    := ('x'|'z') uint
 
 Whitespace is insignificant.  Printing an MPoly and parsing it back yields
-the identical canonical form.
+the identical canonical form.  Every exponent, and the total degree of every
+product, is at most MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from fractions import Fraction
 from .cyclo import CycloNum
 from .errors import ExprSyntaxError, UnknownVariable
 from .poly import MPoly
+
+# Largest exponent and total degree accepted.  It equals cyclo.MAX_CONDUCTOR,
+# so every zeta^k that a CycloNum prints (k < phi(N) < MAX_CONDUCTOR) parses
+# back; the benchmark queries reach degree 48.
+MAX_DEGREE = 1000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()]))"
@@ -100,7 +106,11 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.next()
-                acc = acc * self.factor()
+                pos = self.peek()[2]
+                rhs = self.factor()
+                if acc.total_degree() + rhs.total_degree() > MAX_DEGREE:
+                    raise ExprSyntaxError(f"total degree above {MAX_DEGREE}", pos)
+                acc = acc * rhs
             else:
                 return acc
 
@@ -112,7 +122,10 @@ class _Parser:
             k, v, pos = self.next()
             if k != "int":
                 raise ExprSyntaxError("expected integer exponent", pos)
-            return base ** int(v)
+            exponent = int(v)
+            if exponent > MAX_DEGREE or base.total_degree() * exponent > MAX_DEGREE:
+                raise ExprSyntaxError(f"exponent or total degree above {MAX_DEGREE}", pos)
+            return base ** exponent
         return base
 
     def base(self) -> MPoly:

@@ -13,7 +13,8 @@ from functools import lru_cache
 
 from .connection import ConnectionSystem
 from .cyclo import CycloNum
-from .errors import DenominatorMismatch
+from .errors import DenominatorMismatch, InvalidSpec
+from .groups import is_matrix, is_positive_int
 from .invariants import InvariantTuple
 from .linalg import mat_inverse
 from .parsing import parse_expr
@@ -199,17 +200,51 @@ def render_json(cs: ConnectionSystem, group_name: str, conductor: int) -> str:
     return json.dumps(system_to_dict(cs, group_name, conductor), indent=2) + "\n"
 
 
+def _check_header(data) -> None:
+    """Raise InvalidSpec unless data has the types of the JSON schema."""
+    if not isinstance(data, dict):
+        raise InvalidSpec("a stored system must be a JSON object")
+    for key in ("conductor", "rank", "m"):
+        if not is_positive_int(data.get(key)):
+            raise InvalidSpec(f"{key} must be a positive integer, got {data.get(key)!r}")
+    rank = data["rank"]
+    invariants = data.get("invariants")
+    if (
+        not isinstance(invariants, list)
+        or len(invariants) != rank
+        or not all(isinstance(s, str) for s in invariants)
+    ):
+        raise InvalidSpec(f"invariants must be a list of {rank} strings")
+    if not isinstance(data.get("denominator"), str):
+        raise InvalidSpec("denominator must be a string")
+    matrices = data.get("matrices")
+    if not isinstance(matrices, list) or len(matrices) != rank or not all(
+        is_matrix(mat, rank, _is_entry) for mat in matrices
+    ):
+        raise InvalidSpec(
+            f"matrices must be a list of {rank} {rank}x{rank} matrices "
+            "of {num, den} string entries"
+        )
+
+
+def _is_entry(e) -> bool:
+    return isinstance(e, dict) and isinstance(e.get("num"), str) and isinstance(e.get("den"), str)
+
+
 def system_from_dict(data: dict) -> ConnectionSystem:
     """Rebuild a ConnectionSystem from the JSON schema.
 
     Each entry's reduced denominator must divide the common denominator;
     the common-denominator numerators are reconstructed by exact division.
     """
+    _check_header(data)
     conductor = data["conductor"]
     rank = data["rank"]
     pz = lambda s: parse_expr(s, alphabet="z", nvars=rank, conductor=conductor)
     px = lambda s: parse_expr(s, alphabet="x", nvars=rank, conductor=conductor)
     q = pz(data["denominator"])
+    if not q:
+        raise InvalidSpec("denominator must be nonzero")
     phis = tuple(px(s) for s in data["invariants"])
     inv = InvariantTuple(
         phis=phis, degrees=tuple(p.total_degree() for p in phis), source="catalog"

@@ -1,6 +1,8 @@
-"""Field arithmetic in Q(zeta_12): golden values and algebraic axioms."""
+"""Field arithmetic in Q(zeta_N): golden values, algebraic axioms, and the
+integer representation against a plain Fraction reference."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -159,3 +161,91 @@ class TestZetaPowers:
 
     def test_zeta_two_is_minus_one(self):
         assert CycloNum.zeta(2, 1) == -1
+
+
+class TestMultiplicativeOrder:
+    def test_orders_divide_lcm_of_two_and_conductor(self):
+        assert CycloNum.zeta(24).multiplicative_order() == 24
+        assert (-CycloNum.zeta(3)).multiplicative_order() == 6
+        assert CycloNum.from_rational(-1, 1).multiplicative_order() == 2
+
+    def test_non_root_of_unity_is_rejected(self):
+        with pytest.raises(ValueError, match="not appear to be a root of unity"):
+            (2 + CycloNum.zeta(12)).multiplicative_order()
+
+    def test_order_above_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="not appear to be a root of unity"):
+            CycloNum.zeta(12).multiplicative_order(cap=11)
+
+
+# -- the integer representation against a Fraction reference -----------------
+
+CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 12, 24)
+fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _ref_reduce(n, poly):
+    """Remainder of a Fraction polynomial (low-to-high) mod the monic Phi_n."""
+    phi = cyclotomic_coeffs(n)
+    d = len(phi) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, d - len(poly))
+    for k in range(len(poly) - 1, d - 1, -1):
+        c = poly[k]
+        for j in range(d + 1):
+            poly[k - d + j] -= c * phi[j]
+    return tuple(poly[:d])
+
+
+def _ref_mul(n, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(n, prod)
+
+
+@st.composite
+def same_field(draw, count):
+    n = draw(st.sampled_from(CONDUCTORS))
+    d = euler_phi(n)
+    vectors = st.lists(fracs, min_size=d, max_size=d)
+    return [CycloNum(n, draw(vectors)) for _ in range(count)]
+
+
+def _is_canonical(x):
+    return x._den > 0 and gcd(*x._num, x._den) == 1
+
+
+class TestIntegerRepresentation:
+    @settings(max_examples=150, deadline=None)
+    @given(same_field(2))
+    def test_operations_match_fraction_reference(self, pair):
+        a, b = pair
+        n = a.conductor
+        one = _ref_reduce(n, [Fraction(1)])
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+        assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+        assert (a * b).coeffs == _ref_mul(n, a.coeffs, b.coeffs)
+        for value in (a + b, a - b, a * b, -a):
+            assert _is_canonical(value)
+        if b:
+            inv = b.inverse()
+            assert _is_canonical(inv) and _is_canonical(a / b)
+            assert _ref_mul(n, inv.coeffs, b.coeffs) == one
+            assert _ref_mul(n, (a / b).coeffs, b.coeffs) == a.coeffs
+
+    @settings(max_examples=150, deadline=None)
+    @given(same_field(2), fracs)
+    def test_equal_values_from_different_routes(self, pair, q):
+        a, b = pair
+        n = a.conductor
+        routes = [CycloNum(n, a.coeffs), (a + b) - b, -(-a)]
+        if b:
+            routes.append((a * b) / b)
+        for value in routes:
+            assert value == a and hash(value) == hash(a)
+            assert (value._num, value._den) == (a._num, a._den)
+        rational = CycloNum(n, (q,) + (0,) * (euler_phi(n) - 1))
+        assert CycloNum.from_rational(q, n) == rational == q
+        assert hash(CycloNum.from_rational(q, n)) == hash(rational)
+        assert _is_canonical(rational)

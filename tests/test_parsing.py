@@ -6,7 +6,7 @@ import pytest
 
 from reflconn.cyclo import CycloNum
 from reflconn.errors import ExprSyntaxError, UnknownVariable
-from reflconn.parsing import parse_expr, parse_scalar
+from reflconn.parsing import MAX_DEGREE, parse_expr, parse_scalar
 
 from conftest import px, pz
 
@@ -94,3 +94,23 @@ def test_zero_denominator_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError) as info:
         parse_expr("1/0")
     assert info.value.position == 2
+
+
+class TestDegreeBound:
+    def test_exponent_above_bound_names_its_position(self):
+        text = "x1 + (x1*x2)^2000000"
+        with pytest.raises(ExprSyntaxError) as exc:
+            px(text)
+        assert exc.value.position == text.index("2000000")
+
+    def test_bound_itself_parses(self):
+        assert px(f"x1^{MAX_DEGREE}").total_degree() == MAX_DEGREE
+        assert parse_scalar(f"zeta^{MAX_DEGREE}", 12) == CycloNum.zeta(12, MAX_DEGREE)
+
+    def test_total_degree_of_products_and_powers(self):
+        half = MAX_DEGREE // 2
+        with pytest.raises(ExprSyntaxError) as exc:
+            px(f"x1^{half} * x2^{MAX_DEGREE - half + 1}")
+        assert exc.value.position == len(f"x1^{half} * ")
+        with pytest.raises(ExprSyntaxError):
+            px(f"(x1*x2)^{half + 1}")

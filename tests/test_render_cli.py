@@ -255,6 +255,14 @@ BAD_INPUTS = {
     "conductor_huge": (
         ["compute"], dict(name="big", conductor=1000003, rank=1, generators=[[["-1"]]])
     ),
+    "huge_exponent": (
+        ["compute"],
+        dict(
+            name="G(2,1,2)", conductor=1, rank=2,
+            generators=[[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+            invariants=["x1^2 + x2^2", "(x1*x2)^2000000"],
+        ),
+    ),
     "not_a_json_object": (["compute"], ["a", "list"]),
     "invalid_json": (["compute"], "{not json"),
 }
@@ -276,6 +284,26 @@ class TestInputBoundary:
         data = system_to_dict(cs, "G(2,1,2)", group.conductor)
         data["conductor"] = 1000003
         path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        proc = _run_cli("verify", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("conductor", "12"),
+        ("rank", 2.5),
+        ("m", "x"),
+        ("matrices", 5),
+        ("invariants", [2, 4]),
+        ("denominator", 16),
+        ("denominator", "0"),
+    ])
+    def test_verify_artifact_with_bad_header_exits_2(self, key, value, tmp_path):
+        group, _, _, _, cs = pipeline("G(2,1,2)")
+        data = system_to_dict(cs, "G(2,1,2)", group.conductor)
+        data[key] = value
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         proc = _run_cli("verify", str(path))
         assert proc.returncode == 2
