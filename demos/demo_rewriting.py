@@ -7,14 +7,15 @@ exponent set {e : sum e_i * d_i = deg f}.  Non-invariant input is detected,
 not approximated.
 """
 
-from reflconn import catalog_lookup, rewrite_invariant
+from reflconn import catalog_lookup
 from reflconn.errors import NotInvariant
 from reflconn.parsing import parse_expr
-from reflconn.rewrite import exponent_set
+from reflconn.rewrite import Rewriter, exponent_set
 
 
 def main():
     group, inv = catalog_lookup("G(2,1,2)")
+    rewriter = Rewriter(inv)
     print(f"invariant degrees: {inv.degrees}")
     print(f"exponent set for degree 8: {exponent_set(8, inv.degrees).members}")
     print()
@@ -28,12 +29,12 @@ def main():
     ]
     for text in examples:
         f = parse_expr(text, alphabet="x", nvars=2, conductor=12)
-        print(f"{text}  ->  {rewrite_invariant(f, inv)}")
+        print(f"{text}  ->  {rewriter.rewrite(f)}")
 
     print()
     bad = parse_expr("x1^2 - x2^2", alphabet="x", nvars=2, conductor=12)
     try:
-        rewrite_invariant(bad, inv)
+        rewriter.rewrite(bad)
     except NotInvariant as exc:
         print(f"x1^2 - x2^2 is rejected: {exc}")
 
@@ -41,7 +42,7 @@ def main():
     # same x-degree), pushed down to x and lifted back
     f_tilde = parse_expr("z1^4 - 5*z1^2*z2 + 7*z2^2", alphabet="z", nvars=2, conductor=12)
     f = f_tilde.compose(list(inv.phis))
-    assert rewrite_invariant(f, inv) == f_tilde
+    assert rewriter.rewrite(f) == f_tilde
     print(f"round trip confirmed for {f_tilde}")
 
 

@@ -10,84 +10,26 @@ coordinates by exact linear algebra, and verify all defining identities
 exactly.
 """
 
-from .cyclo import CycloNum, cyc_arith, cyclotomic_coeffs, euler_phi
-from .connection import (
-    ConnectionSystem,
-    JacobianData,
-    ScaledConnection,
-    build_system,
-    connection_in_z,
-    delta_apply,
-    jacobian,
-    scaled_connection,
-)
-from .groups import (
-    GroupData,
-    close_group,
-    group_from_spec,
-    is_reflection,
-    validate_reflection_group,
-)
+from .connection import build_system, connection_in_z, jacobian, scaled_connection
 from .invariants import (
-    InvariantTuple,
     catalog_lookup,
-    catalog_names,
     fundamental_invariants,
     invariant_degrees,
     reynolds,
 )
-from .parsing import parse_expr, parse_scalar
-from .poly import MPoly, RatFun, cyclotomic_polynomial, rf_eq
-from .rewrite import ExponentSet, Rewriter, exponent_set, rewrite_invariant
-from .verify import (
-    VerificationReport,
-    check_equivariance,
-    check_integrability,
-    check_invariance,
-    cross_validate,
-    full_report,
-)
+from .verify import check_integrability, full_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycloNum",
-    "MPoly",
-    "RatFun",
-    "GroupData",
-    "InvariantTuple",
-    "JacobianData",
-    "ScaledConnection",
-    "ConnectionSystem",
-    "ExponentSet",
-    "Rewriter",
-    "VerificationReport",
     "build_system",
     "catalog_lookup",
-    "catalog_names",
-    "check_equivariance",
     "check_integrability",
-    "check_invariance",
-    "close_group",
     "connection_in_z",
-    "cross_validate",
-    "cyc_arith",
-    "cyclotomic_coeffs",
-    "cyclotomic_polynomial",
-    "delta_apply",
-    "euler_phi",
-    "exponent_set",
     "full_report",
     "fundamental_invariants",
-    "group_from_spec",
     "invariant_degrees",
-    "is_reflection",
     "jacobian",
-    "parse_expr",
-    "parse_scalar",
     "reynolds",
-    "rewrite_invariant",
-    "rf_eq",
     "scaled_connection",
-    "validate_reflection_group",
 ]

@@ -10,11 +10,10 @@ import argparse
 import json
 import sys
 
-from .connection import build_system, connection_in_z, jacobian, scaled_connection
+from .connection import connection_in_z, jacobian, scaled_connection
 from .errors import ReflconnError
 from .groups import DEFAULT_CAP, group_from_spec, load_group_spec
 from .invariants import (
-    catalog_lookup,
     catalog_names,
     fundamental_invariants,
     invariants_from_spec,
@@ -28,7 +27,7 @@ from .render import (
     render_text,
     system_from_dict,
 )
-from .rewrite import rewrite_invariant
+from .rewrite import Rewriter
 from .verify import check_integrability, full_report
 
 EXIT_OK = 0
@@ -103,8 +102,7 @@ def cmd_rewrite(args) -> int:
     name, group, catalog_inv = _resolve_group(args)
     phi = _pick_invariants(args, group, catalog_inv)
     f = parse_expr(args.expr, alphabet="x", nvars=group.rank, conductor=group.conductor)
-    result = rewrite_invariant(f, phi)
-    print(result)
+    print(Rewriter(phi).rewrite(f))
     return EXIT_OK
 
 
@@ -118,8 +116,8 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _add_group_flags(sub, require=True):
-    g = sub.add_mutually_exclusive_group(required=require)
+def _add_group_flags(sub):
+    g = sub.add_mutually_exclusive_group(required=True)
     g.add_argument("--group", help="catalog group name (see `list`)")
     g.add_argument("--spec-file", help="path to a group specification file")
     sub.add_argument(

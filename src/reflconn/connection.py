@@ -39,14 +39,13 @@ class JacobianData:
 class ScaledConnection:
     """Polynomial numerator matrices P_l and the common denominator D^m.
 
-    checks holds the group checks run while building it; empty when it
-    was built without a group.
+    checks holds the group checks run while building it.
     """
 
     numerators: tuple[tuple[tuple[MPoly, ...], ...], ...]
     det_power: MPoly
     m: int
-    checks: tuple[CheckResult, ...] = ()
+    checks: tuple[CheckResult, ...]
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,7 @@ class ConnectionSystem:
 
 def scaling_exponent(det_char_order: int) -> int:
     """Smallest multiple of the determinant-character order that is >= 2."""
-    e = max(1, det_char_order)
-    m = e
-    while m < 2:
-        m += e
-    return m
+    return max(2, det_char_order)
 
 
 def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
@@ -102,29 +97,25 @@ def delta_apply(ell: int, f: MPoly, jd: JacobianData) -> RatFun:
     return RatFun(num, jd.det)
 
 
-def scaled_connection(
-    jd: JacobianData, group: GroupData | None = None
-) -> ScaledConnection:
+def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     """Numerator matrices P_l with common denominator D^m, fully polynomial.
 
-    Every entry is checked to be homogeneous of the predicted degree.  When
-    a group is supplied, the Jacobian equivariance and determinant-character
-    checks of `verify` run once here; together they imply that every entry
-    of P_l and D^m is invariant.  Their results are kept on the returned
-    ScaledConnection, and a failure raises NonInvariantEntry.
+    Every entry is checked to be homogeneous of the predicted degree.  The
+    Jacobian equivariance and determinant-character checks of `verify` run
+    once here; together they imply that every entry of P_l and D^m is
+    invariant.  Their results are kept on the returned ScaledConnection,
+    and a failure raises NonInvariantEntry.
     """
     n = len(jd.jac)
-    checks = ()
-    if group is not None:
-        checks = tuple(
-            check_equivariance(jd, group).checks
-            + check_determinant_character(jd, group).checks
+    checks = tuple(
+        check_equivariance(jd, group).checks
+        + check_determinant_character(jd, group).checks
+    )
+    failed = next((c for c in checks if not c.passed), None)
+    if failed is not None:
+        raise NonInvariantEntry(
+            f"check {failed.name} failed, witness: {failed.witness}"
         )
-        failed = next((c for c in checks if not c.passed), None)
-        if failed is not None:
-            raise NonInvariantEntry(
-                f"check {failed.name} failed, witness: {failed.witness}"
-            )
     d_partials = [
         tuple(tuple(jd.jac[i][j].partial(k + 1) for j in range(n)) for i in range(n))
         for k in range(n)
@@ -170,10 +161,8 @@ def scaled_connection(
     )
 
 
-def connection_in_x(jd: JacobianData) -> tuple[tuple[tuple[RatFun, ...], ...], ...]:
-    """The x-space matrices delta_l(J) J^{-1} as rational functions, for
-    cross-validation against the z-space form."""
-    sc = scaled_connection(jd)
+def connection_in_x(sc: ScaledConnection) -> tuple[tuple[tuple[RatFun, ...], ...], ...]:
+    """The x-space matrices delta_l(J) J^{-1} = P_l / D^m as rational functions."""
     return tuple(
         tuple(tuple(RatFun(e, sc.det_power) for e in row) for row in p)
         for p in sc.numerators

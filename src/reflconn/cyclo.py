@@ -390,16 +390,3 @@ class CycloNum:
             else:
                 parts.append((" - " if neg else " + ") + body)
         return "".join(parts)
-
-
-def cyc_arith(a: CycloNum, b: CycloNum, op: str) -> CycloNum:
-    """Named-operation wrapper over the operator protocol."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")

@@ -45,9 +45,6 @@ class GroupData:
     def generators(self) -> list[Matrix]:
         return [self.elements[i] for i in self.generator_indices]
 
-    def reflections(self) -> list[Matrix]:
-        return [self.elements[i] for i in self.reflection_indices]
-
     def index_of(self, matrix: Matrix) -> int:
         try:
             return self.elements.index(matrix)

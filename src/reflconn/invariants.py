@@ -236,6 +236,10 @@ def invariants_from_spec(spec: dict, group: GroupData) -> InvariantTuple:
         isinstance(s, str) for s in spec["invariants"]
     ):
         raise InvalidSpec("invariants must be a list of polynomial strings")
+    if len(spec["invariants"]) != group.rank:
+        raise InvalidSpec(
+            f"invariants must list {group.rank} polynomials, got {len(spec['invariants'])}"
+        )
     phis = tuple(
         parse_expr(s, alphabet="x", nvars=group.rank, conductor=group.conductor)
         for s in spec["invariants"]

@@ -8,13 +8,15 @@
 
 Whitespace is insignificant.  Printing an MPoly and parsing it back yields
 the identical canonical form.  Every exponent, and the total degree of every
-product, is at most MAX_DEGREE.
+product, is at most MAX_DEGREE; the most terms every product and power can
+have is at most MAX_TERMS.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .cyclo import CycloNum
 from .errors import ExprSyntaxError, UnknownVariable
@@ -24,6 +26,12 @@ from .poly import MPoly
 # so every zeta^k that a CycloNum prints (k < phi(N) < MAX_CONDUCTOR) parses
 # back; the benchmark queries reach degree 48.
 MAX_DEGREE = 1000
+
+# Most terms a product or a power may have, checked before it is expanded:
+# len(a) * len(b) for a product, comb(t + k - 1, k) for the k-th power of t
+# terms.  Catalog specs, rendered artifacts and benchmark queries are flat
+# sums, whose products all have a one-term factor.
+MAX_TERMS = 2000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()]))"
@@ -110,6 +118,8 @@ class _Parser:
                 rhs = self.factor()
                 if acc.total_degree() + rhs.total_degree() > MAX_DEGREE:
                     raise ExprSyntaxError(f"total degree above {MAX_DEGREE}", pos)
+                if len(acc.terms) * len(rhs.terms) > MAX_TERMS:
+                    raise ExprSyntaxError(f"product of more than {MAX_TERMS} terms", pos)
                 acc = acc * rhs
             else:
                 return acc
@@ -125,6 +135,9 @@ class _Parser:
             exponent = int(v)
             if exponent > MAX_DEGREE or base.total_degree() * exponent > MAX_DEGREE:
                 raise ExprSyntaxError(f"exponent or total degree above {MAX_DEGREE}", pos)
+            t = max(len(base.terms), 1)
+            if comb(t + exponent - 1, exponent) > MAX_TERMS:
+                raise ExprSyntaxError(f"power of more than {MAX_TERMS} terms", pos)
             return base ** exponent
         return base
 

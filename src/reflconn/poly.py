@@ -339,16 +339,6 @@ def cyclotomic_polynomial(n: int, alphabet: str = "x", conductor: int | None = N
     return MPoly(alphabet, 1, conductor, terms)
 
 
-def poly_arith(f: MPoly, g: MPoly, op: str) -> MPoly:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown operation {op!r}")
-
-
 class RatFun:
     """num/den with a monic denominator; equality by cross-multiplication."""
 
@@ -367,10 +357,6 @@ class RatFun:
             den = den * inv
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p: MPoly) -> "RatFun":
-        return cls(p)
 
     def is_polynomial(self) -> bool:
         return self.den.total_degree() == 0
@@ -450,11 +436,6 @@ class RatFun:
             p = self.num * c.inverse()
             return str(p)
         return f"({self.num})/({self.den})"
-
-
-def rf_eq(a: RatFun, b: RatFun) -> bool:
-    """Cross-multiplication equality of rational functions."""
-    return a == b
 
 
 def require_homogeneous(f: MPoly) -> int:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .connection import ConnectionSystem
 from .cyclo import CycloNum
-from .errors import DenominatorMismatch, InvalidSpec
+from .errors import DenominatorMismatch, InvalidSpec, NotDivisible
 from .groups import is_matrix, is_positive_int
 from .invariants import InvariantTuple
 from .linalg import mat_inverse
@@ -24,14 +24,13 @@ from .poly import MPoly, RatFun
 # -- readable coefficients ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _readable_basis_inverse(conductor: int):
+def _readable_basis_inverse():
     """Inverse of the matrix whose columns are 1, i, sqrt(3), i*sqrt(3)
-    written in the zeta basis, as rationals."""
-    z = CycloNum.zeta(conductor)
-    i = z ** (conductor // 4)
-    twelfth = conductor // 12
-    sqrt3 = z ** twelfth + z ** (-twelfth % conductor)
-    basis = [CycloNum.one(conductor), i, sqrt3, i * sqrt3]
+    written in the zeta_12 basis, as rationals."""
+    z = CycloNum.zeta(12)
+    i = z ** 3
+    sqrt3 = z + z ** 11
+    basis = [CycloNum.one(12), i, sqrt3, i * sqrt3]
     # over Q, i.e. conductor-1 cyclotomic numbers
     rows = [[CycloNum.from_rational(b.coeffs[k], 1) for b in basis] for k in range(4)]
     return tuple(tuple(e.rational_value() for e in row) for row in mat_inverse(rows))
@@ -40,13 +39,13 @@ def _readable_basis_inverse(conductor: int):
 def to_readable_basis(c: CycloNum):
     """Coordinates (a, b, s, t) with c = a + b*i + s*sqrt(3) + t*i*sqrt(3).
 
-    Returns None unless the conductor is a multiple of 12 of degree 4,
-    which leaves N = 12, where these four numbers are a basis over Q.
+    Returns None unless the conductor is 12, where these four numbers are
+    a basis over Q.
     """
-    if c.conductor % 12 != 0 or len(c.coeffs) != 4:
+    if c.conductor != 12:
         return None
-    inv = _readable_basis_inverse(c.conductor)
-    return tuple(sum(a * q for a, q in zip(row, c.coeffs)) for row in inv)
+    coeffs = c.coeffs
+    return tuple(sum(a * q for a, q in zip(row, coeffs)) for row in _readable_basis_inverse())
 
 
 def _readable_coeff(c: CycloNum, latex: bool) -> str:
@@ -251,8 +250,6 @@ def system_from_dict(data: dict) -> ConnectionSystem:
     )
     matrices = []
     numerators = []
-    from .errors import NotDivisible
-
     for mat in data["matrices"]:
         rows = []
         num_rows = []
@@ -262,6 +259,8 @@ def system_from_dict(data: dict) -> ConnectionSystem:
             for entry in row:
                 num = pz(entry["num"])
                 den = pz(entry["den"])
+                if not den:
+                    raise InvalidSpec("entry denominators must be nonzero")
                 rf = RatFun(num, den)
                 r.append(rf)
                 try:

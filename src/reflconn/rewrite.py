@@ -102,7 +102,3 @@ class Rewriter:
             ) from None
         terms = {e: c for e, c in zip(eset.members, coeffs) if c}
         return MPoly("z", self.nvars, self.conductor, terms)
-
-
-def rewrite_invariant(f: MPoly, phi: InvariantTuple) -> MPoly:
-    return Rewriter(phi).rewrite(f)

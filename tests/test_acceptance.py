@@ -15,7 +15,7 @@ import pytest
 from reflconn.connection import build_system, jacobian
 from reflconn.cyclo import CycloNum
 from reflconn.invariants import fundamental_invariants, invariant_degrees
-from reflconn.poly import MPoly, RatFun, rf_eq
+from reflconn.poly import MPoly, RatFun
 from reflconn.rewrite import Rewriter, exponent_set
 from reflconn.verify import (
     check_equivariance,
@@ -103,7 +103,7 @@ def _matches_golden(cs, name):
             for c in range(2):
                 num, den = expected[ell][r][c]
                 want = RatFun(pz(num), pz(den))
-                if not rf_eq(cs.matrices[ell][r][c], want):
+                if cs.matrices[ell][r][c] != want:
                     return False
     return True
 
@@ -146,7 +146,7 @@ def test_criterion_3_integrability():
     cs1 = build_system(group, inv)
     half = RatFun(pz("1", nvars=1), pz("2*z1", nvars=1))
     ok = ok and check_integrability(cs1).all_passed
-    ok = ok and rf_eq(cs1.matrices[0][0][0], half)
+    ok = ok and cs1.matrices[0][0][0] == half
     _report(
         3,
         ok,

@@ -1,12 +1,13 @@
 """The expression grammar: precedence, errors with positions, round trips."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from reflconn.cyclo import CycloNum
 from reflconn.errors import ExprSyntaxError, UnknownVariable
-from reflconn.parsing import MAX_DEGREE, parse_expr, parse_scalar
+from reflconn.parsing import MAX_DEGREE, MAX_TERMS, parse_expr, parse_scalar
 
 from conftest import px, pz
 
@@ -114,3 +115,26 @@ class TestDegreeBound:
         assert exc.value.position == len(f"x1^{half} * ")
         with pytest.raises(ExprSyntaxError):
             px(f"(x1*x2)^{half + 1}")
+
+
+class TestTermBound:
+    def test_power_above_bound_names_its_position(self):
+        text = "x1 + (x1 + x2 + x3)^300"
+        with pytest.raises(ExprSyntaxError) as exc:
+            px(text, nvars=3)
+        assert exc.value.position == text.index("300")
+
+    def test_product_bound(self):
+        k = MAX_TERMS // 40
+        a = "(" + " + ".join(f"x1^{i}" for i in range(40)) + ")"
+        b = "(" + " + ".join(f"x2^{j}" for j in range(k)) + ")"
+        assert len(px(f"{a}*{b}").terms) == 40 * k
+        wider = b[:-1] + f" + x2^{k})"
+        with pytest.raises(ExprSyntaxError) as exc:
+            px(f"{a}*{wider}")
+        assert exc.value.position == len(f"{a}*")
+
+    def test_flat_sums_are_not_bounded(self):
+        k = isqrt(MAX_TERMS) + 1
+        text = " + ".join(f"{i + j + 1}*x1^{i}*x2^{j}" for i in range(k) for j in range(k))
+        assert len(px(text).terms) == k * k > MAX_TERMS

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,6 @@ import reflconn
 from reflconn.cli import main
 from reflconn.cyclo import CycloNum
 from reflconn.errors import DenominatorMismatch
-from reflconn.poly import rf_eq
 from reflconn.render import (
     readable_poly,
     render_json,
@@ -85,7 +85,7 @@ class TestJsonRoundTrip:
         for ell in range(cs.rank):
             for r in range(cs.rank):
                 for c in range(cs.rank):
-                    assert rf_eq(back.matrices[ell][r][c], cs.matrices[ell][r][c])
+                    assert back.matrices[ell][r][c] == cs.matrices[ell][r][c]
                     assert (
                         back.numerators[ell][r][c] == cs.numerators[ell][r][c]
                     )
@@ -263,6 +263,22 @@ BAD_INPUTS = {
             invariants=["x1^2 + x2^2", "(x1*x2)^2000000"],
         ),
     ),
+    "too_few_invariants": (
+        ["compute"],
+        dict(
+            name="G(2,1,2)", conductor=1, rank=2,
+            generators=[[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+            invariants=["x1^2 + x2^2"],
+        ),
+    ),
+    "too_many_invariants": (
+        ["compute"],
+        dict(
+            name="G(2,1,2)", conductor=1, rank=2,
+            generators=[[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+            invariants=["x1^2 + x2^2", "x1^2*x2^2", "x1^4 + x2^4"],
+        ),
+    ),
     "not_a_json_object": (["compute"], ["a", "list"]),
     "invalid_json": (["compute"], "{not json"),
 }
@@ -309,6 +325,42 @@ class TestInputBoundary:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    def test_verify_artifact_with_zero_entry_denominator_exits_2(self, tmp_path):
+        group, _, _, _, cs = pipeline("G(2,1,2)")
+        data = system_to_dict(cs, "G(2,1,2)", group.conductor)
+        data["matrices"][0][0][0]["den"] = "0"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = _run_cli("verify", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("route", ["spec_file", "rewrite"])
+    def test_sum_power_above_term_bound_exits_2_quickly(self, route, tmp_path):
+        # (x1+x2+x3)^300 is within MAX_DEGREE but has 45,451 terms
+        big = "(x1 + x2 + x3)^300"
+        invariants = ["x1^2 + x2^2 + x3^2", "x1^4 + x2^4 + x3^4", "x1^6 + x2^6 + x3^6"]
+        if route == "spec_file":
+            invariants[2] = big
+        path = _spec_file(tmp_path, dict(
+            name="G(2,1,3)", conductor=1, rank=3,
+            generators=[
+                [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+                [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+                [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            ],
+            invariants=invariants,
+        ))
+        argv = ["compute"] if route == "spec_file" else ["rewrite", big]
+        t0 = time.perf_counter()
+        proc = _run_cli(*argv, "--spec-file", path)
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "terms" in proc.stderr
+        assert elapsed < 1.0
 
     def test_conductor_two_zeta_spec_computes(self, tmp_path):
         path = _spec_file(

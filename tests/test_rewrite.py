@@ -9,7 +9,7 @@ from reflconn.cyclo import CycloNum
 from reflconn.errors import NonHomogeneousInput, NotInvariant
 from reflconn.invariants import reynolds
 from reflconn.poly import MPoly
-from reflconn.rewrite import Rewriter, exponent_set, rewrite_invariant
+from reflconn.rewrite import Rewriter, exponent_set
 
 from conftest import catalog, px, pz
 
@@ -44,37 +44,37 @@ class TestExponentSet:
 class TestRewriteDihedral:
     def test_golden_examples(self):
         _, inv = catalog("G(2,1,2)")
-        assert rewrite_invariant(px("x1^2 + x2^2"), inv) == pz("z1")
-        assert rewrite_invariant(px("x1^2*x2^2"), inv) == pz("z2")
-        assert rewrite_invariant(px("x1^4 + x2^4"), inv) == pz("z1^2 - 2*z2")
-        assert rewrite_invariant(px("x1^6 + x2^6"), inv) == pz(
+        assert Rewriter(inv).rewrite(px("x1^2 + x2^2")) == pz("z1")
+        assert Rewriter(inv).rewrite(px("x1^2*x2^2")) == pz("z2")
+        assert Rewriter(inv).rewrite(px("x1^4 + x2^4")) == pz("z1^2 - 2*z2")
+        assert Rewriter(inv).rewrite(px("x1^6 + x2^6")) == pz(
             "z1^3 - 3*z1*z2"
         )
 
     def test_zero_and_constant(self):
         _, inv = catalog("G(2,1,2)")
-        assert rewrite_invariant(MPoly.zero("x", 2, 12), inv).is_zero()
-        assert rewrite_invariant(px("5"), inv) == pz("5")
+        assert Rewriter(inv).rewrite(MPoly.zero("x", 2, 12)).is_zero()
+        assert Rewriter(inv).rewrite(px("5")) == pz("5")
 
     def test_not_invariant_inconsistent(self):
         _, inv = catalog("G(2,1,2)")
         with pytest.raises(NotInvariant):
-            rewrite_invariant(px("x1^2 - x2^2"), inv)
+            Rewriter(inv).rewrite(px("x1^2 - x2^2"))
 
     def test_not_invariant_unreachable_degree(self):
         _, inv = catalog("G(2,1,2)")
         with pytest.raises(NotInvariant):
-            rewrite_invariant(px("x1^3"), inv)
+            Rewriter(inv).rewrite(px("x1^3"))
 
     def test_non_homogeneous_rejected(self):
         _, inv = catalog("G(2,1,2)")
         with pytest.raises(NonHomogeneousInput):
-            rewrite_invariant(px("x1^2 + x2^2 + 1"), inv)
+            Rewriter(inv).rewrite(px("x1^2 + x2^2 + 1"))
 
     def test_reynolds_image_is_rewritable(self):
         group, inv = catalog("G(2,1,2)")
         f = reynolds(px("x1^6"), group)
-        g = rewrite_invariant(f, inv)
+        g = Rewriter(inv).rewrite(f)
         assert g.compose(list(inv.phis)) == f
 
 
@@ -82,9 +82,9 @@ class TestRewriteTetrahedral:
     def test_invariant_products(self):
         _, inv = catalog("G4")
         f1, f2 = inv.phis
-        assert rewrite_invariant(f1 * f2, inv) == pz("z1*z2")
-        assert rewrite_invariant(f1 ** 2, inv) == pz("z1^2")
-        assert rewrite_invariant(f1 ** 3 - 4 * f2 ** 2, inv) == pz(
+        assert Rewriter(inv).rewrite(f1 * f2) == pz("z1*z2")
+        assert Rewriter(inv).rewrite(f1 ** 2) == pz("z1^2")
+        assert Rewriter(inv).rewrite(f1 ** 3 - 4 * f2 ** 2) == pz(
             "z1^3 - 4*z2^2"
         )
 

@@ -99,6 +99,23 @@ class TestMutationDetection:
         assert not report.all_passed
         assert "A_2 entry (1,1)" in report.failures()[0].witness
 
+    def test_cross_validation_reads_the_numerators(self):
+        # the display form is left honest; only the certified numerators move
+        _, inv, _, sc, cs = pipeline("G(2,1,2)")
+        assert cs.numerators[0][1][0]
+        bad = dataclasses.replace(cs, numerators=_flip_sign(cs.numerators, 0, 1, 0))
+        report = cross_validate(bad, sc, inv)
+        assert [c.passed for c in report.checks] == [False, True]
+        assert report.failures()[0].witness == "A_1 entry (2,1)"
+
+    def test_cross_validation_flags_wrong_denominator(self):
+        _, inv, _, sc, cs = pipeline("G(2,1,2)")
+        bad = dataclasses.replace(cs, denominator=cs.denominator * 2)
+        report = cross_validate(bad, sc, inv)
+        assert [c.witness for c in report.failures()] == [
+            "A_1 denominator", "A_2 denominator"
+        ]
+
     def test_denominator_space_mismatch(self):
         _, _, _, sc, cs = pipeline("G(2,1,2)")
         bad = dataclasses.replace(cs, numerators=sc.numerators)  # x-space!
@@ -139,9 +156,7 @@ class TestReportOrder:
         assert report.checks[:5] == list(sc.checks)
         assert report.all_passed
 
-    def test_full_report_runs_group_checks_without_them(self):
+    def test_full_report_refuses_scaled_connection_without_checks(self):
         group, inv, jd, sc, cs = pipeline("G4")
-        bare = dataclasses.replace(sc, checks=())
-        report = full_report(group, inv, jd, bare, cs)
-        assert [c.name for c in report.checks] == G4_REPORT_NAMES
-        assert report.all_passed
+        with pytest.raises(ValueError):
+            full_report(group, inv, jd, dataclasses.replace(sc, checks=()), cs)
