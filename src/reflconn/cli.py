@@ -102,6 +102,7 @@ def cmd_rewrite(args) -> int:
     name, group, catalog_inv = _resolve_group(args)
     phi = _pick_invariants(args, group, catalog_inv)
     f = parse_expr(args.expr, alphabet="x", nvars=group.rank, conductor=group.conductor)
+    jacobian(phi)  # SingularJacobian for dependent invariants, before rewriting
     print(Rewriter(phi).rewrite(f))
     return EXIT_OK
 

@@ -98,7 +98,8 @@ def mat_inverse(matrix):
 
 
 def row_echelon(rows):
-    """In-place forward elimination over CycloNum.
+    """In-place forward elimination over CycloNum; zero entries of the
+    pivot row are skipped, so sparse rows cost only their nonzeros.
 
     Returns (echelon rows, pivot column indices).
     """
@@ -118,11 +119,13 @@ def row_echelon(rows):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r] = [e * inv if e else e for e in rows[r]]
+        nonzero = [j for j, e in enumerate(pivot) if e]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                for j in nonzero:
+                    row[j] = row[j] - f * pivot[j]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -144,24 +147,21 @@ class UnderdeterminedSystem(Exception):
 
 
 def solve_unique(rows, rhs):
-    """Solve rows * x = rhs over CycloNum; the solution must be unique.
+    """Solve rows * x = b over CycloNum for each vector b in rhs.
 
-    Raises InconsistentSystem or UnderdeterminedSystem otherwise.
+    Returns one solution per right-hand side, from a single elimination.
+    Each solution must exist and be unique: raises InconsistentSystem if
+    any b is outside the column space, UnderdeterminedSystem otherwise.
     """
     if not rows:
-        if any(rhs):
-            raise InconsistentSystem
-        return []
+        if any(any(b) for b in rhs):
+            raise InconsistentSystem("right-hand side is outside the column space")
+        return [[] for _ in rhs]
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
     reduced, pivots = row_echelon(aug)
-    if ncols in pivots:
+    if pivots and pivots[-1] >= ncols:
         raise InconsistentSystem("right-hand side is outside the column space")
-    if len([p for p in pivots if p < ncols]) < ncols:
+    if len(pivots) < ncols:
         raise UnderdeterminedSystem("linear system does not have full column rank")
-    conductor = rows[0][0].conductor
-    zero = CycloNum.zero(conductor)
-    solution = [zero] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = reduced[r][-1]
-    return solution
+    return [[reduced[r][ncols + k] for r in range(ncols)] for k in range(len(rhs))]

@@ -9,7 +9,8 @@
 Whitespace is insignificant.  Printing an MPoly and parsing it back yields
 the identical canonical form.  Every exponent, and the total degree of every
 product, is at most MAX_DEGREE; the most terms every product and power can
-have is at most MAX_TERMS.
+have is at most MAX_TERMS.  Parentheses nest at most MAX_NESTING deep, and a
+run of digits is at most MAX_DIGITS long.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ MAX_DEGREE = 1000
 # sums, whose products all have a one-term factor.
 MAX_TERMS = 2000
 
+# Deepest nesting of parentheses: each level is four frames of the recursive
+# descent, so this stays well inside Python's default recursion limit.
+MAX_NESTING = 100
+
+# Longest run of digits in a number or a variable index, below the 4300
+# digits Python converts between int and str by default.
+MAX_DIGITS = 1000
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()]))"
 )
@@ -48,12 +57,11 @@ def _tokenize(text: str):
             if not stripped:
                 break
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int"), m.start("int")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        token = m.group(kind)
+        if len(token) - len(token.rstrip("0123456789")) > MAX_DIGITS:
+            raise ExprSyntaxError(f"more than {MAX_DIGITS} digits", m.start(kind))
+        tokens.append((kind, token, m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -63,6 +71,7 @@ class _Parser:
     def __init__(self, text: str, alphabet: str, nvars: int, conductor: int):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.alphabet = alphabet
         self.nvars = nvars
         self.conductor = conductor
@@ -166,8 +175,12 @@ class _Parser:
                 return MPoly.variable(index, self.alphabet, self.nvars, self.conductor)
             raise UnknownVariable(f"unknown symbol {value!r}", pos)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ExprSyntaxError(f"unexpected token {value!r}", pos)
 

@@ -1,22 +1,24 @@
 """Rewriting invariant homogeneous polynomials in the invariant coordinates.
 
 Given fundamental invariants phi_1..phi_n of degrees d_1..d_n and an
-invariant homogeneous f(x) of degree D, enumerate the exponent vectors e
-with sum e_i d_i = D, expand the products prod phi_i^{e_i}, and solve the
-exact linear system matching coefficients of x-monomials.
+invariant homogeneous f(x) of degree D, f = sum c_e phi^e over the exponent
+vectors e with sum e_i d_i = D.  The linear algebra is done once per degree
+and cached: the products phi^e (each one multiply, mostly phi_i times a
+cached phi^(e - u_i)), |E| pivot monomials found by reducing the products
+against each other by leading monomial, and the inverse of the pivot block
+(the products' coefficients at the pivots).  Rewriting f then reads the c_e
+off f's pivot coefficients and checks the residual f - sum c_e phi^e
+exactly: if it is not zero, f is not in the subring the invariants generate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cyclo import CycloNum
 from .errors import NotInvariant
 from .invariants import InvariantTuple
-from .linalg import (
-    InconsistentSystem,
-    UnderdeterminedSystem,
-    solve_unique,
-)
+from .linalg import identity_matrix, solve_unique
 from .poly import MPoly, grlex_key, require_homogeneous
 
 
@@ -50,26 +52,93 @@ def exponent_set(target: int, degrees) -> ExponentSet:
     return ExponentSet(target=target, degrees=degrees, members=tuple(members))
 
 
+@dataclass(frozen=True)
+class _DegreeSystem:
+    """The cached rewriting data of one degree: phi^e for e in members,
+    the pivot monomials, and inverse[k][j], the coefficient of phi^members[j]
+    per unit of the pivots[k] coefficient."""
+
+    members: tuple[tuple[int, ...], ...]
+    products: tuple[MPoly, ...]
+    pivots: tuple[tuple[int, ...], ...]
+    inverse: tuple[tuple[CycloNum, ...], ...]
+
+
 class Rewriter:
-    """Rewriting engine bound to one invariant tuple; memoizes products."""
+    """Rewriting engine bound to one invariant tuple; caches products and
+    one pivot system per degree."""
 
     def __init__(self, phi: InvariantTuple):
         self.phi = phi
         model = phi.phis[0]
         self.nvars = model.nvars
         self.conductor = model.conductor
-        self._products: dict[tuple[int, ...], MPoly] = {}
+        one = MPoly.constant(1, "x", self.nvars, self.conductor)
+        self._products: dict[tuple[int, ...], MPoly] = {(0,) * self.nvars: one}
+        self._systems: dict[int, _DegreeSystem] = {}
 
     def product(self, exps: tuple[int, ...]) -> MPoly:
+        """phi^exps, by one multiply: phi_i times a cached phi^(exps - u_i)
+        when there is one, else phi^prefix times the power of the last
+        invariant.  A degree thus adds at most one product per exponent
+        vector, besides prefixes and powers phi_i^k."""
         hit = self._products.get(exps)
         if hit is not None:
             return hit
-        acc = MPoly.constant(1, "x", self.nvars, self.conductor)
-        for p, e in zip(self.phi.phis, exps):
-            if e:
-                acc = acc * p ** e
-        self._products[exps] = acc
-        return acc
+        support = [i for i, e in enumerate(exps) if e]
+        for i in support:
+            parent = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            if parent in self._products:
+                hit = self.product(parent) * self.phi.phis[i]
+                break
+        else:
+            i = support[-1]
+            if len(support) > 1:
+                prefix = exps[:i] + (0,) * (len(exps) - i)
+                hit = self.product(prefix) * self.product((0,) * i + exps[i:])
+            else:
+                # phi_i^k: build the missing powers below it bottom up, each
+                # from the one before, so that the recursion stays shallow
+                k = exps[i] - 2
+                while exps[:i] + (k,) + exps[i + 1:] not in self._products:
+                    k -= 1
+                for j in range(k, exps[i]):
+                    hit = self.product(exps[:i] + (j,) + exps[i + 1:]) * self.phi.phis[i]
+                    self._products[exps[:i] + (j + 1,) + exps[i + 1:]] = hit
+        self._products[exps] = hit
+        return hit
+
+    def _system(self, degree: int) -> _DegreeSystem:
+        system = self._systems.get(degree)
+        if system is not None:
+            return system
+        members = exponent_set(degree, self.phi.degrees).members
+        if not members:
+            raise NotInvariant(
+                f"degree {degree} is not a nonnegative combination of {self.phi.degrees}"
+            )
+        products = tuple(self.product(e) for e in members)
+        # top-reduce each product by the earlier ones until its leading
+        # monomial is new; the leading monomials are then the pivots
+        reduced: dict[tuple[int, ...], MPoly] = {}
+        for p in products:
+            while p:
+                lead, c = p.leading_term()
+                q = reduced.get(lead)
+                if q is None:
+                    reduced[lead] = p
+                    break
+                p = p - q * (c / q.terms[lead])
+            else:
+                raise AssertionError(
+                    "rewriting products are linearly dependent; invariants are dependent"
+                )
+        pivots = tuple(sorted(reduced, key=grlex_key, reverse=True))
+        rows = [[p.coefficient(m) for p in products] for m in pivots]
+        units = identity_matrix(len(pivots), self.conductor)
+        inverse = tuple(tuple(col) for col in solve_unique(rows, units))
+        system = self._systems[degree] = _DegreeSystem(members, products, pivots, inverse)
+        return system
 
     def rewrite(self, f: MPoly) -> MPoly:
         """The unique z-polynomial g with g(phi) = f; NotInvariant if none."""
@@ -77,28 +146,21 @@ class Rewriter:
             raise ValueError("rewrite expects an x-space polynomial")
         if f.is_zero():
             return MPoly.zero("z", self.nvars, self.conductor)
-        degree = require_homogeneous(f)
-        eset = exponent_set(degree, self.phi.degrees)
-        if not eset.members:
-            raise NotInvariant(
-                f"degree {degree} is not a nonnegative combination of {self.phi.degrees}"
-            )
-        products = [self.product(e) for e in eset.members]
-        monomials = set(f.terms)
-        for p in products:
-            monomials.update(p.terms)
-        monomials = sorted(monomials, key=grlex_key, reverse=True)
-        rows = [[p.coefficient(m) for p in products] for m in monomials]
-        rhs = [f.coefficient(m) for m in monomials]
-        try:
-            coeffs = solve_unique(rows, rhs)
-        except InconsistentSystem:
+        system = self._system(require_homogeneous(f))
+        zero = CycloNum.zero(self.conductor)
+        coeffs = [zero] * len(system.members)
+        for m, column in zip(system.pivots, system.inverse):
+            b = f.terms.get(m)
+            if b:
+                coeffs = [c + b * a if a else c for c, a in zip(coeffs, column)]
+        residual = dict(f.terms)
+        for c, p in zip(coeffs, system.products):
+            if c:
+                for m, a in p.terms.items():
+                    residual[m] = residual.get(m, zero) - c * a
+        if any(residual.values()):
             raise NotInvariant(
                 "polynomial is not in the subring generated by the invariants"
-            ) from None
-        except UnderdeterminedSystem:
-            raise AssertionError(
-                "rewriting system lost full column rank; invariants are dependent"
-            ) from None
-        terms = {e: c for e, c in zip(eset.members, coeffs) if c}
+            )
+        terms = {e: c for e, c in zip(system.members, coeffs) if c}
         return MPoly("z", self.nvars, self.conductor, terms)

@@ -1,11 +1,16 @@
 import functools
 
 import pytest
+from hypothesis import settings
 
 from reflconn.connection import build_system, connection_in_z, jacobian, scaled_connection
 from reflconn.groups import close_group, parse_matrix, validate_reflection_group
 from reflconn.invariants import InvariantTuple, catalog_lookup
 from reflconn.parsing import parse_expr
+
+# Derandomised, so that a fuzz failure in CI reproduces from the same
+# examples: select it with `pytest --hypothesis-profile=ci`.
+settings.register_profile("ci", derandomize=True)
 
 
 def px(s, nvars=2, conductor=12):

@@ -116,25 +116,63 @@ class TestEchelonAndSolve:
             [scalar("2"), scalar("0")],
         ]
         rhs = [scalar("4"), scalar("0"), scalar("4")]
-        sol = solve_unique(rows, rhs)
+        sol = solve_unique(rows, [rhs])[0]
         assert sol == [CycloNum.from_rational(2, 12), CycloNum.from_rational(2, 12)]
 
     def test_inconsistent(self):
         rows = [[scalar("1"), scalar("1")], [scalar("2"), scalar("2")]]
         rhs = [scalar("1"), scalar("3")]
         with pytest.raises(InconsistentSystem):
-            solve_unique(rows, rhs)
+            solve_unique(rows, [rhs])
 
     def test_underdetermined(self):
         rows = [[scalar("1"), scalar("1")]]
         rhs = [scalar("1")]
         with pytest.raises(UnderdeterminedSystem):
-            solve_unique(rows, rhs)
+            solve_unique(rows, [rhs])
 
     def test_solve_with_cyclotomic_coefficients(self):
         i = scalar("zeta^3")
         rows = [[scalar("1"), i], [i, scalar("1")]]
         rhs = [scalar("1 + zeta^3"), scalar("1 + zeta^3")]
-        sol = solve_unique(rows, rhs)
+        sol = solve_unique(rows, [rhs])[0]
         assert sol[0] + i * sol[1] == rhs[0]
         assert i * sol[0] + sol[1] == rhs[1]
+
+    def test_one_solution_per_right_hand_side(self):
+        rows = [
+            [scalar("1"), scalar("1")],
+            [scalar("1"), scalar("-1")],
+            [scalar("2"), scalar("0")],
+        ]
+        rhs = [
+            [scalar("4"), scalar("0"), scalar("4")],
+            [scalar("0"), scalar("2"), scalar("2")],
+            [scalar("zeta"), scalar("zeta"), scalar("2*zeta")],
+        ]
+        sols = solve_unique(rows, rhs)
+        assert sols == [
+            [scalar("2"), scalar("2")],
+            [scalar("1"), scalar("-1")],
+            [scalar("zeta"), scalar("0")],
+        ]
+        assert solve_unique(rows, []) == []
+
+    def test_any_inconsistent_column_raises(self):
+        rows = [
+            [scalar("1"), scalar("0")],
+            [scalar("0"), scalar("1")],
+            [scalar("1"), scalar("1")],
+        ]
+        good = [scalar("1"), scalar("2"), scalar("3")]
+        bad = [scalar("1"), scalar("2"), scalar("4")]
+        assert solve_unique(rows, [good, good]) == [[scalar("1"), scalar("2")]] * 2
+        with pytest.raises(InconsistentSystem):
+            solve_unique(rows, [good, bad])
+        with pytest.raises(InconsistentSystem):
+            solve_unique(rows, [bad, good])
+
+    def test_underdetermined_with_several_columns(self):
+        rows = [[scalar("1"), scalar("1")]]
+        with pytest.raises(UnderdeterminedSystem):
+            solve_unique(rows, [[scalar("1")], [scalar("2")]])

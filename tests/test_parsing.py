@@ -4,10 +4,20 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflconn.cyclo import CycloNum
-from reflconn.errors import ExprSyntaxError, UnknownVariable
-from reflconn.parsing import MAX_DEGREE, MAX_TERMS, parse_expr, parse_scalar
+from reflconn.errors import ExprSyntaxError, ReflconnError, UnknownVariable
+from reflconn.parsing import (
+    MAX_DEGREE,
+    MAX_DIGITS,
+    MAX_NESTING,
+    MAX_TERMS,
+    parse_expr,
+    parse_scalar,
+)
+from reflconn.poly import MPoly
 
 from conftest import px, pz
 
@@ -138,3 +148,37 @@ class TestTermBound:
         k = isqrt(MAX_TERMS) + 1
         text = " + ".join(f"{i + j + 1}*x1^{i}*x2^{j}" for i in range(k) for j in range(k))
         assert len(px(text).terms) == k * k > MAX_TERMS
+
+
+class TestNestingAndDigitBounds:
+    def test_nesting_bound_itself_parses(self):
+        text = "(" * MAX_NESTING + "x1^2 + x2^2" + ")" * MAX_NESTING
+        assert px(text) == px("x1^2 + x2^2")
+
+    def test_deeper_nesting_names_its_position(self):
+        depth = MAX_NESTING + 1
+        with pytest.raises(ExprSyntaxError) as exc:
+            px("(" * depth + "x1" + ")" * depth)
+        assert exc.value.position == MAX_NESTING
+
+    def test_digit_run_bound(self):
+        assert parse_scalar("7" * MAX_DIGITS, 12) == int("7" * MAX_DIGITS)
+        for text in ("x1 + " + "7" * (MAX_DIGITS + 1), "x1 + x" + "1" * (MAX_DIGITS + 1)):
+            with pytest.raises(ExprSyntaxError) as exc:
+                px(text)
+            assert exc.value.position == len("x1 + ")
+
+
+FUZZ_TOKENS = ["x1", "x2", "zeta", "(", ")", "+", "-", "*", "/", "^", " "]
+FUZZ_TOKENS += list("0123456789")
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map("".join))
+    def test_parse_returns_a_polynomial_or_a_package_error(self, text):
+        try:
+            result = px(text)
+        except ReflconnError:
+            return
+        assert isinstance(result, MPoly)

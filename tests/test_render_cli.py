@@ -279,6 +279,18 @@ BAD_INPUTS = {
             invariants=["x1^2 + x2^2", "x1^2*x2^2", "x1^4 + x2^4"],
         ),
     ),
+    "deep_nesting": (
+        ["rewrite", "(" * 3000 + "x1^2+x2^2" + ")" * 3000, "--group", "G(2,1,2)"], None
+    ),
+    "long_integer": (["rewrite", "1" * 5000 + "*(x1^2+x2^2)", "--group", "G(2,1,2)"], None),
+    "dependent_invariants": (
+        ["rewrite", "x1^4 + x2^4"],
+        dict(
+            name="G(2,1,2)", conductor=1, rank=2,
+            generators=[[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+            invariants=["x1^2 + x2^2", "x1^4 + 2*x1^2*x2^2 + x2^4"],
+        ),
+    ),
     "not_a_json_object": (["compute"], ["a", "list"]),
     "invalid_json": (["compute"], "{not json"),
 }

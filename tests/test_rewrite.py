@@ -7,7 +7,9 @@ import pytest
 
 from reflconn.cyclo import CycloNum
 from reflconn.errors import NonHomogeneousInput, NotInvariant
-from reflconn.invariants import reynolds
+from reflconn import rewrite as rewrite_module
+from reflconn.invariants import InvariantTuple, reynolds
+from reflconn.linalg import solve_unique
 from reflconn.poly import MPoly
 from reflconn.rewrite import Rewriter, exponent_set
 
@@ -132,3 +134,57 @@ class TestRoundTrip:
         rewriter.rewrite(px("x1^2*x2^2 + 0*x1^4"))
         for k, v in cached.items():
             assert rewriter._products[k] is v
+
+
+class TestPivotSystem:
+    def power_sum_invariants(self):
+        """x1^2 + x2^2 and x1^4 + x2^4: phi_1^2 and phi_2 share the leading
+        monomial x1^4, so the pivots come only from reducing the products."""
+        return InvariantTuple(
+            phis=(px("x1^2 + x2^2"), px("x1^4 + x2^4")), degrees=(2, 4), source="catalog"
+        )
+
+    def test_colliding_leading_monomials(self):
+        rewriter = Rewriter(self.power_sum_invariants())
+        assert rewriter.rewrite(px("x1^2*x2^2")) == pz("1/2*z1^2 - 1/2*z2")
+        assert rewriter.rewrite(px("x1^6 + x2^6")) == pz("-1/2*z1^3 + 3/2*z1*z2")
+
+    def test_colliding_round_trip(self):
+        inv = self.power_sum_invariants()
+        rewriter = Rewriter(inv)
+        rng = random.Random(7)
+        for _ in range(25):
+            f_tilde = random_weighted_poly(rng, inv.degrees)
+            assert rewriter.rewrite(f_tilde.compose(list(inv.phis))) == f_tilde
+
+    def test_residual_off_the_pivots_is_checked(self):
+        # agrees with phi_1^2 on the pivots x1^4 and x1^2*x2^2, lacks x2^4
+        _, inv = catalog("G(2,1,2)")
+        with pytest.raises(NotInvariant):
+            Rewriter(inv).rewrite(px("x1^4 + 2*x1^2*x2^2"))
+
+    def test_dependent_products_rejected(self):
+        inv = InvariantTuple(
+            phis=(px("x1^2 + x2^2"), px("x1^4 + 2*x1^2*x2^2 + x2^4")),
+            degrees=(2, 4), source="catalog",
+        )
+        with pytest.raises(AssertionError):
+            Rewriter(inv).rewrite(px("x1^4 + x2^4"))
+
+    def test_one_solve_per_degree(self, monkeypatch):
+        calls = []
+
+        def counting(rows, rhs):
+            calls.append(len(rhs))
+            return solve_unique(rows, rhs)
+
+        monkeypatch.setattr(rewrite_module, "solve_unique", counting)
+        _, inv = catalog("G4")
+        rewriter = Rewriter(inv)
+        f1, f2 = inv.phis
+        rewriter.rewrite(f1 ** 3)
+        # degree 12 = 3*4 = 2*6: one solve, both unit columns at once
+        assert calls == [2]
+        rewriter.rewrite(f1 ** 3 - 4 * f2 ** 2)
+        rewriter.rewrite(f2 ** 2)
+        assert calls == [2]
