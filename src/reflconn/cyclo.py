@@ -220,6 +220,10 @@ class CycloNum:
             raise ValueError(f"{self} is not rational")
         return Fraction(self._num[0], self._den)
 
+    def bit_size(self) -> int:
+        """Largest bit length of a numerator or of the denominator."""
+        return max(self._den, *map(abs, self._num)).bit_length()
+
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):

@@ -4,7 +4,9 @@ invariants, and the built-in catalog of groups with known invariants."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from itertools import product
 
@@ -36,8 +38,6 @@ def reynolds(f: MPoly, group: GroupData) -> MPoly:
     acc = MPoly.zero(f.alphabet, f.nvars, f.conductor)
     for m in group.elements:
         acc = acc + f.substitute_linear(m)
-    from fractions import Fraction
-
     return acc * Fraction(1, group.order)
 
 
@@ -77,28 +77,31 @@ def _series_inverse(poly, precision, conductor):
 
 
 def molien_series(group: GroupData, precision: int):
-    """Truncated Molien series (1/|G|) * sum over M of 1/det(I - tM)."""
-    from fractions import Fraction
+    """Truncated Molien series (1/|G|) * sum over M of 1/det(I - tM).
 
-    zero = CycloNum.zero(group.conductor)
-    total = [zero] * precision
-    for m in group.elements:
-        cp = _char_poly_one_minus_tm(m, group.conductor)
+    det(I - tM) depends only on the characteristic polynomial of M, so each
+    distinct polynomial is inverted once and weighted by its multiplicity.
+    """
+    counts = Counter(
+        tuple(_char_poly_one_minus_tm(m, group.conductor)) for m in group.elements
+    )
+    total = [CycloNum.zero(group.conductor)] * precision
+    for cp, count in counts.items():
         inv = _series_inverse(cp, precision, group.conductor)
-        total = [a + b for a, b in zip(total, inv)]
-    scale = Fraction(1, group.order)
-    return [c * scale for c in total]
+        weight = Fraction(count, group.order)
+        total = [a + b * weight for a, b in zip(total, inv)]
+    return total
 
 
-def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]:
-    """Degrees of the fundamental invariants, read off the Molien series.
+def _degrees_from_series(group: GroupData, series) -> tuple[int, ...]:
+    """Degrees of the fundamental invariants, read off a truncated Molien
+    series.
 
     Iteratively strips factors 1/(1 - t^d) starting from the lowest
     nonconstant term; cross-checks the product against the group order and
     the sum against the reflection count.
     """
-    precision = max_degree + 1
-    series = molien_series(group, precision)
+    precision = len(series)
     degrees = []
     for _ in range(group.rank):
         d = None
@@ -108,7 +111,7 @@ def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]
                 break
         if d is None:
             raise DegreeSearchFailed(
-                f"no invariant degree found below {max_degree}"
+                f"no invariant degree found below {precision - 1}"
             )
         degrees.append(d)
         # multiply by (1 - t^d)
@@ -133,6 +136,11 @@ def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]
     return tuple(degrees)
 
 
+def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]:
+    """Degrees of the fundamental invariants, read off the Molien series."""
+    return _degrees_from_series(group, molien_series(group, max_degree + 1))
+
+
 # -- fundamental invariants -------------------------------------------------
 
 def _monomials_of_degree(nvars: int, degree: int):
@@ -155,9 +163,10 @@ def _coefficient_vector(f: MPoly, monomials):
     return [f.coefficient(e) for e in monomials]
 
 
-def _invariant_basis(group: GroupData, degree: int):
+def _invariant_basis(group: GroupData, degree: int, dim: int):
     """Linearly independent Reynolds images of degree-d monomials, in
-    grlex candidate order."""
+    grlex candidate order, up to dim of them: the dimension of the degree-d
+    invariants, from the Molien series."""
     monomials = _monomials_of_degree(group.rank, degree)
     basis = []
     rows = []  # echelon rows for the independence test
@@ -176,13 +185,21 @@ def _invariant_basis(group: GroupData, degree: int):
             # normalize: monic leading coefficient
             lead = inv.leading_coefficient()
             basis.append(inv * lead.inverse())
-    return basis
+            if len(basis) == dim:
+                return basis
+    raise DegreeSearchFailed(
+        f"Reynolds images span {len(basis)} of the {dim} degree-{degree} invariants"
+    )
 
 
 def fundamental_invariants(group: GroupData, max_degree: int = 64) -> InvariantTuple:
     """Reynolds-derived fundamental invariants with nonzero Jacobian."""
-    degrees = invariant_degrees(group, max_degree=max_degree)
-    candidates = {d: _invariant_basis(group, d) for d in sorted(set(degrees))}
+    series = molien_series(group, max_degree + 1)
+    degrees = _degrees_from_series(group, series)
+    candidates = {
+        d: _invariant_basis(group, d, int(series[d].rational_value()))
+        for d in sorted(set(degrees))
+    }
     slots = list(degrees)
     index_ranges = [range(len(candidates[d])) for d in slots]
     for combo in product(*index_ranges):

@@ -9,15 +9,16 @@
 Whitespace is insignificant.  Printing an MPoly and parsing it back yields
 the identical canonical form.  Every exponent, and the total degree of every
 product, is at most MAX_DEGREE; the most terms every product and power can
-have is at most MAX_TERMS.  Parentheses nest at most MAX_NESTING deep, and a
-run of digits is at most MAX_DIGITS long.
+have is at most MAX_TERMS.  Parentheses nest at most MAX_NESTING deep, a
+run of digits is at most MAX_DIGITS long, and so is every numerator and
+denominator of the coefficients of the result and of each parenthesised part.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, log2
 
 from .cyclo import CycloNum
 from .errors import ExprSyntaxError, UnknownVariable
@@ -42,6 +43,15 @@ MAX_NESTING = 100
 # digits Python converts between int and str by default.
 MAX_DIGITS = 1000
 
+# Bit length of a MAX_DIGITS-digit integer: the bound on each numerator and
+# denominator of the coefficients of every sum, parenthesised or not, checked
+# once the sum is built.  A power of a number or of a parenthesised part is
+# checked before it is expanded, by the exponent times the bits of its base,
+# so that it never builds a huge one.  Checking every product and power
+# instead cost about 5% of query_stream in perfbench, whose artifacts are
+# sums of monomials.
+MAX_COEFF_BITS = ceil(MAX_DIGITS * log2(10))
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()]))"
 )
@@ -65,6 +75,15 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _coeff_bits(p: MPoly) -> int:
+    return max(map(CycloNum.bit_size, p.terms.values()), default=0)
+
+
+def _check_coeff_bits(bits: int, pos: int) -> None:
+    if bits > MAX_COEFF_BITS:
+        raise ExprSyntaxError(f"coefficient of more than {MAX_DIGITS} digits", pos)
 
 
 class _Parser:
@@ -100,7 +119,7 @@ class _Parser:
         return result
 
     def expr(self) -> MPoly:
-        kind, value, _ = self.peek()
+        kind, value, start = self.peek()
         negate = False
         if kind == "op" and value == "-":
             self.next()
@@ -115,6 +134,7 @@ class _Parser:
                 rhs = self.term()
                 acc = acc + rhs if value == "+" else acc - rhs
             else:
+                _check_coeff_bits(_coeff_bits(acc), start)
                 return acc
 
     def term(self) -> MPoly:
@@ -134,6 +154,8 @@ class _Parser:
                 return acc
 
     def factor(self) -> MPoly:
+        # a power of a variable or of zeta has coefficients of a few bits
+        named = self.peek()[0] == "name"
         base = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -147,6 +169,8 @@ class _Parser:
             t = max(len(base.terms), 1)
             if comb(t + exponent - 1, exponent) > MAX_TERMS:
                 raise ExprSyntaxError(f"power of more than {MAX_TERMS} terms", pos)
+            if not named:
+                _check_coeff_bits(exponent * _coeff_bits(base), pos)
             return base ** exponent
         return base
 

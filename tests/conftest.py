@@ -48,6 +48,31 @@ def sign_group():
     return g, phi
 
 
+# Rank-3 groups outside the catalog, generated as the benchmark writes them:
+# the transpositions (1 2) and (2 3), then diag(-1, 1, 1) for G(2,1,3) over Q,
+# or the twisted transposition x1 <-> zeta^-1 x2 for G(3,3,3) over Q(zeta_3).
+RANK3_GENERATORS = {
+    "G(2,1,3)": (1, (
+        [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+        [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    )),
+    "G(3,3,3)": (3, (
+        [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+        [["0", "zeta^2", "0"], ["zeta", "0", "0"], ["0", "0", "1"]],
+    )),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def rank3_group(name):
+    conductor, rows = RANK3_GENERATORS[name]
+    return validate_reflection_group(
+        close_group([parse_matrix(m, conductor) for m in rows])
+    )
+
+
 @pytest.fixture(scope="session")
 def d8():
     return catalog("G(2,1,2)")

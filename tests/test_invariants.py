@@ -2,8 +2,9 @@
 
 import pytest
 
-from reflconn.errors import UnknownGroup
-from reflconn.groups import close_group, parse_matrix, validate_reflection_group
+from reflconn import invariants
+from reflconn.cyclo import CycloNum
+from reflconn.errors import DegreeSearchFailed, UnknownGroup
 from reflconn.invariants import (
     catalog_lookup,
     catalog_names,
@@ -14,8 +15,9 @@ from reflconn.invariants import (
     reynolds,
 )
 from reflconn.linalg import det as mat_det
+from reflconn.poly import MPoly
 
-from conftest import catalog, px, sign_group
+from conftest import catalog, px, rank3_group, sign_group
 
 
 class TestReynolds:
@@ -79,17 +81,27 @@ class TestMolien:
     def test_series_head_rank_three(self):
         # G(2,1,3) = B3 over Q: 1/((1-t^2)(1-t^4)(1-t^6)) through the 3x3
         # determinant of I - tM
-        rows = {
-            "s12": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
-            "s23": [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
-            "sign": [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-        }
-        group = validate_reflection_group(
-            close_group([parse_matrix(m, 1) for m in rows.values()])
-        )
+        group = rank3_group("G(2,1,3)")
         assert group.order == 48
         s = molien_series(group, 9)
         assert [c.rational_value() for c in s] == [1, 0, 1, 0, 2, 0, 3, 0, 4]
+
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_series_equals_per_element_sum(self, name):
+        # (1/|G|) * sum over every element of 1/(1 - tr(M) t + det(M) t^2),
+        # one series inversion per element
+        group, _ = catalog(name)
+        precision = 13
+        zero = CycloNum.zero(group.conductor)
+        total = [zero] * precision
+        for (a, b), (c, d) in group.elements:
+            c1, c2 = -(a + d), a * d - b * c
+            inv = [CycloNum.one(group.conductor), -c1]
+            for k in range(2, precision):
+                inv.append(-(c1 * inv[k - 1] + c2 * inv[k - 2]))
+            total = [x + y for x, y in zip(total, inv)]
+        assert molien_series(group, precision) == [x / group.order for x in total]
 
 
 class TestFundamentalInvariants:
@@ -111,6 +123,38 @@ class TestFundamentalInvariants:
         inv = fundamental_invariants(group)
         assert inv.degrees == (2,)
         assert is_invariant(inv.phis[0], group)
+
+
+    def test_basis_search_stops_at_molien_dimension(self, monkeypatch):
+        # degree 6 of G(2,1,3) has 28 monomials and 3 invariants, the third
+        # of which is the Reynolds image of the 13th monomial in grlex order
+        group = rank3_group("G(2,1,3)")
+        assert molien_series(group, 7)[6] == 3
+        calls = []
+
+        def counting(f, g):
+            calls.append(f)
+            return reynolds(f, g)
+
+        monkeypatch.setattr(invariants, "reynolds", counting)
+        basis = invariants._invariant_basis(group, 6, 3)
+        assert len(basis) == 3
+        assert len(calls) == 13
+        assert len(invariants._monomials_of_degree(3, 6)) == 28
+
+    def test_short_reynolds_basis_is_rejected(self, monkeypatch):
+        # x1^2*x2^2 is the only monomial whose image completes the two
+        # degree-4 invariants of G(2,1,2); dropping it leaves the basis short
+        group, _ = catalog("G(2,1,2)")
+
+        def dropping(f, g):
+            if set(f.terms) == {(2, 2)}:
+                return MPoly.zero(f.alphabet, f.nvars, f.conductor)
+            return reynolds(f, g)
+
+        monkeypatch.setattr(invariants, "reynolds", dropping)
+        with pytest.raises(DegreeSearchFailed, match="span 1 of the 2 degree-4"):
+            fundamental_invariants(group)
 
 
 class TestCatalog:

@@ -169,6 +169,20 @@ class TestNestingAndDigitBounds:
             assert exc.value.position == len("x1 + ")
 
 
+    def test_coefficient_bound_names_its_position(self):
+        big, other = "9" * MAX_DIGITS, "9" * (MAX_DIGITS - 1) + "8"
+        assert px(f"{big}*x1 - 1/{big}") == px(f"x1*{big} - 1/{big}")
+        cases = (
+            (f"x2 + {big}*{big}*x1", 0),  # a product, once its sum is built
+            (f"x1 + ({'9' * 20}*x1)^200", len(f"x1 + ({'9' * 20}*x1)^")),  # before a power
+            (f"x1*(1/{big} + 1/{other})", len("x1*(")),  # coprime denominators
+        )
+        for text, position in cases:
+            with pytest.raises(ExprSyntaxError, match=f"more than {MAX_DIGITS} digits") as exc:
+                px(text)
+            assert exc.value.position == position
+
+
 FUZZ_TOKENS = ["x1", "x2", "zeta", "(", ")", "+", "-", "*", "/", "^", " "]
 FUZZ_TOKENS += list("0123456789")
 

@@ -283,6 +283,9 @@ BAD_INPUTS = {
         ["rewrite", "(" * 3000 + "x1^2+x2^2" + ")" * 3000, "--group", "G(2,1,2)"], None
     ),
     "long_integer": (["rewrite", "1" * 5000 + "*(x1^2+x2^2)", "--group", "G(2,1,2)"], None),
+    "huge_coefficient": (
+        ["rewrite", "*".join(["9" * 1000] * 5) + "*(x1^2+x2^2)", "--group", "G(2,1,2)"], None
+    ),
     "dependent_invariants": (
         ["rewrite", "x1^4 + x2^4"],
         dict(
