@@ -47,9 +47,11 @@ MAX_DIGITS = 1000
 # denominator of the coefficients of every sum, parenthesised or not, checked
 # once the sum is built.  A power of a number or of a parenthesised part is
 # checked before it is expanded, by the exponent times the bits of its base,
-# so that it never builds a huge one.  Checking every product and power
-# instead cost about 5% of query_stream in perfbench, whose artifacts are
-# sums of monomials.
+# so that it never builds a huge one.  Within a term, a product is measured
+# once the bits of its factors add up past the bound, a variable or zeta
+# counting none, so that a long product of big numbers stops at the factor
+# that crosses it.  Measuring every product instead cost about 5% of
+# query_stream in perfbench, whose artifacts are sums of monomials.
 MAX_COEFF_BITS = ceil(MAX_DIGITS * log2(10))
 
 _TOKEN_RE = re.compile(
@@ -112,13 +114,14 @@ class _Parser:
         return MPoly.constant(value, self.alphabet, self.nvars, self.conductor)
 
     def parse(self) -> MPoly:
-        result = self.expr()
+        result, _ = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {value!r}", pos)
         return result
 
-    def expr(self) -> MPoly:
+    def expr(self) -> tuple[MPoly, int]:
+        """The sum, and the bits of its coefficients, checked here."""
         kind, value, start = self.peek()
         negate = False
         if kind == "op" and value == "-":
@@ -134,29 +137,36 @@ class _Parser:
                 rhs = self.term()
                 acc = acc + rhs if value == "+" else acc - rhs
             else:
-                _check_coeff_bits(_coeff_bits(acc), start)
-                return acc
+                bits = _coeff_bits(acc)
+                _check_coeff_bits(bits, start)
+                return acc, bits
 
     def term(self) -> MPoly:
-        acc = self.factor()
+        acc, bits = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.next()
                 pos = self.peek()[2]
-                rhs = self.factor()
+                rhs, rhs_bits = self.factor()
                 if acc.total_degree() + rhs.total_degree() > MAX_DEGREE:
                     raise ExprSyntaxError(f"total degree above {MAX_DEGREE}", pos)
                 if len(acc.terms) * len(rhs.terms) > MAX_TERMS:
                     raise ExprSyntaxError(f"product of more than {MAX_TERMS} terms", pos)
                 acc = acc * rhs
+                # a product's bits stay near the sum of its factors' bits:
+                # measure the product only once that sum passes the bound
+                bits += rhs_bits
+                if bits > MAX_COEFF_BITS:
+                    bits = _coeff_bits(acc)
+                    _check_coeff_bits(bits, pos)
             else:
                 return acc
 
-    def factor(self) -> MPoly:
-        # a power of a variable or of zeta has coefficients of a few bits
-        named = self.peek()[0] == "name"
-        base = self.base()
+    def factor(self) -> tuple[MPoly, int]:
+        """The factor, and its coefficient bits as base counts them, times
+        the exponent."""
+        base, bits = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.next()
@@ -169,12 +179,14 @@ class _Parser:
             t = max(len(base.terms), 1)
             if comb(t + exponent - 1, exponent) > MAX_TERMS:
                 raise ExprSyntaxError(f"power of more than {MAX_TERMS} terms", pos)
-            if not named:
-                _check_coeff_bits(exponent * _coeff_bits(base), pos)
-            return base ** exponent
-        return base
+            bits *= exponent
+            _check_coeff_bits(bits, pos)
+            return base ** exponent, bits
+        return base, bits
 
-    def base(self) -> MPoly:
+    def base(self) -> tuple[MPoly, int]:
+        """The base, and the bits of its coefficients: none for a variable
+        or zeta, whose powers have coefficients of a few bits."""
         kind, value, pos = self.next()
         if kind == "int":
             num = int(value)
@@ -186,17 +198,18 @@ class _Parser:
                     raise ExprSyntaxError("expected denominator", pos2)
                 if int(v2) == 0:
                     raise ExprSyntaxError("zero denominator", pos2)
-                return self._const(Fraction(num, int(v2)))
-            return self._const(num)
+                q = Fraction(num, int(v2))
+                return self._const(q), max(q.numerator.bit_length(), q.denominator.bit_length())
+            return self._const(num), num.bit_length()
         if kind == "name":
             if value == "zeta":
-                return self._const(CycloNum.zeta(self.conductor))
+                return self._const(CycloNum.zeta(self.conductor)), 0
             m = re.fullmatch(r"([A-Za-z])(\d+)", value)
             if m and m.group(1) == self.alphabet:
                 index = int(m.group(2))
                 if not 1 <= index <= self.nvars:
                     raise UnknownVariable(f"variable {value!r} out of range", pos)
-                return MPoly.variable(index, self.alphabet, self.nvars, self.conductor)
+                return MPoly.variable(index, self.alphabet, self.nvars, self.conductor), 0
             raise UnknownVariable(f"unknown symbol {value!r}", pos)
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:

@@ -7,8 +7,11 @@ and cached: the products phi^e (each one multiply, mostly phi_i times a
 cached phi^(e - u_i)), |E| pivot monomials found by reducing the products
 against each other by leading monomial, and the inverse of the pivot block
 (the products' coefficients at the pivots).  Rewriting f then reads the c_e
-off f's pivot coefficients and checks the residual f - sum c_e phi^e
-exactly: if it is not zero, f is not in the subring the invariants generate.
+off f's pivot coefficients and checks the residual exactly: if
+g(phi) != f for g = sum c_e z^e, f is not in the subring the invariants
+generate.  The same products serve the other direction: compose(g) is
+g(phi) = sum c_e phi^e, used both for that residual and for substituting
+z := phi(x) into a whole system when cross-validating it.
 """
 
 from __future__ import annotations
@@ -54,12 +57,11 @@ def exponent_set(target: int, degrees) -> ExponentSet:
 
 @dataclass(frozen=True)
 class _DegreeSystem:
-    """The cached rewriting data of one degree: phi^e for e in members,
-    the pivot monomials, and inverse[k][j], the coefficient of phi^members[j]
-    per unit of the pivots[k] coefficient."""
+    """The cached rewriting data of one degree: the exponent vectors e with
+    phi^e of that degree, the pivot monomials, and inverse[k][j], the
+    coefficient of phi^members[j] per unit of the pivots[k] coefficient."""
 
     members: tuple[tuple[int, ...], ...]
-    products: tuple[MPoly, ...]
     pivots: tuple[tuple[int, ...], ...]
     inverse: tuple[tuple[CycloNum, ...], ...]
 
@@ -137,11 +139,25 @@ class Rewriter:
         rows = [[p.coefficient(m) for p in products] for m in pivots]
         units = identity_matrix(len(pivots), self.conductor)
         inverse = tuple(tuple(col) for col in solve_unique(rows, units))
-        system = self._systems[degree] = _DegreeSystem(members, products, pivots, inverse)
+        system = self._systems[degree] = _DegreeSystem(members, pivots, inverse)
         return system
 
+    def compose(self, g: MPoly) -> MPoly:
+        """g(phi) in x, as sum c_e phi^e over the cached products phi^e."""
+        if g.alphabet != "z" or g.nvars != self.nvars:
+            raise ValueError("compose expects a z-space polynomial, one variable per invariant")
+        terms: dict[tuple[int, ...], CycloNum] = {}
+        for e, c in g.terms.items():
+            for m, a in self.product(e).terms.items():
+                cur = terms.get(m)
+                terms[m] = c * a if cur is None else cur + c * a
+        return MPoly("x", self.nvars, self.conductor, terms)
+
     def rewrite(self, f: MPoly) -> MPoly:
-        """The unique z-polynomial g with g(phi) = f; NotInvariant if none."""
+        """The unique z-polynomial g with g(phi) = f; NotInvariant if none.
+
+        g is read off f's pivot coefficients; the residual check is
+        compose(g) == f, exactly."""
         if f.alphabet != "x":
             raise ValueError("rewrite expects an x-space polynomial")
         if f.is_zero():
@@ -153,14 +169,10 @@ class Rewriter:
             b = f.terms.get(m)
             if b:
                 coeffs = [c + b * a if a else c for c, a in zip(coeffs, column)]
-        residual = dict(f.terms)
-        for c, p in zip(coeffs, system.products):
-            if c:
-                for m, a in p.terms.items():
-                    residual[m] = residual.get(m, zero) - c * a
-        if any(residual.values()):
+        terms = {e: c for e, c in zip(system.members, coeffs) if c}
+        g = MPoly("z", self.nvars, self.conductor, terms)
+        if self.compose(g) != f:
             raise NotInvariant(
                 "polynomial is not in the subring generated by the invariants"
             )
-        terms = {e: c for e, c in zip(system.members, coeffs) if c}
-        return MPoly("z", self.nvars, self.conductor, terms)
+        return g

@@ -17,6 +17,7 @@ from .groups import GroupData
 from .invariants import InvariantTuple, is_invariant
 from .linalg import det, mat_mul, mat_sub
 from .poly import RatFun
+from .rewrite import Rewriter
 
 if TYPE_CHECKING:
     from .connection import ConnectionSystem, JacobianData, ScaledConnection
@@ -179,18 +180,21 @@ def cross_validate(
     entry against numerator / q in z.  Composition with algebraically
     independent phi is injective, so this ties the numerators that
     check_integrability certifies, and the display form, to P_l / D^m.
+    Every substitution is Rewriter.compose on a Rewriter made here, so the
+    products phi^e are built once per call and none is taken from the
+    rewrite that produced cs.
     """
     report = VerificationReport()
-    args = list(phi.phis)
+    rewriter = Rewriter(phi)
     q = cs.denominator
     t0 = time.perf_counter()  # the denominator check is timed with A_1
-    den_ok = q.compose(args) == sc.det_power
+    den_ok = rewriter.compose(q) == sc.det_power
     for ell in range(cs.rank):
         num = cs.numerators[ell]
         where = "denominator"
         if den_ok:
             display = ((RatFun(e, q) for e in row) for row in num)
-            composed = ((e.compose(args) for e in row) for row in num)
+            composed = ((rewriter.compose(e) for e in row) for row in num)
             where = _first_mismatch(cs.matrices[ell], display) or _first_mismatch(
                 composed, sc.numerators[ell]
             )

@@ -1,5 +1,6 @@
 """The expression grammar: precedence, errors with positions, round trips."""
 
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -173,7 +174,8 @@ class TestNestingAndDigitBounds:
         big, other = "9" * MAX_DIGITS, "9" * (MAX_DIGITS - 1) + "8"
         assert px(f"{big}*x1 - 1/{big}") == px(f"x1*{big} - 1/{big}")
         cases = (
-            (f"x2 + {big}*{big}*x1", 0),  # a product, once its sum is built
+            (f"x2 + {big}*{big}*x1", len(f"x2 + {big}*")),  # a product, at its factor
+            (f"{big} + {big}", 0),  # a sum, once it is built
             (f"x1 + ({'9' * 20}*x1)^200", len(f"x1 + ({'9' * 20}*x1)^")),  # before a power
             (f"x1*(1/{big} + 1/{other})", len("x1*(")),  # coprime denominators
         )
@@ -181,6 +183,15 @@ class TestNestingAndDigitBounds:
             with pytest.raises(ExprSyntaxError, match=f"more than {MAX_DIGITS} digits") as exc:
                 px(text)
             assert exc.value.position == position
+
+    def test_long_product_is_rejected_at_its_second_factor_quickly(self):
+        # multiplying all 400 factors before the check took over a second
+        big = "9" * MAX_DIGITS
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError, match=f"more than {MAX_DIGITS} digits") as exc:
+            px("*".join([big] * 400))
+        assert time.perf_counter() - start < 0.2
+        assert exc.value.position == MAX_DIGITS + 1
 
 
 FUZZ_TOKENS = ["x1", "x2", "zeta", "(", ")", "+", "-", "*", "/", "^", " "]

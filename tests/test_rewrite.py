@@ -8,12 +8,12 @@ import pytest
 from reflconn.cyclo import CycloNum
 from reflconn.errors import NonHomogeneousInput, NotInvariant
 from reflconn import rewrite as rewrite_module
-from reflconn.invariants import InvariantTuple, reynolds
+from reflconn.invariants import InvariantTuple, catalog_names, fundamental_invariants, reynolds
 from reflconn.linalg import solve_unique
 from reflconn.poly import MPoly
 from reflconn.rewrite import Rewriter, exponent_set
 
-from conftest import catalog, px, pz
+from conftest import catalog, px, pz, rank3_group
 
 
 class TestExponentSet:
@@ -188,3 +188,60 @@ class TestPivotSystem:
         rewriter.rewrite(f1 ** 3 - 4 * f2 ** 2)
         rewriter.rewrite(f2 ** 2)
         assert calls == [2]
+
+
+def random_z_poly(rng, nvars, conductor, top=4):
+    """A z-polynomial of at most four terms with exponents up to top in each
+    variable: in general not weighted-homogeneous, and a constant may sit
+    beside a term of high degree."""
+    zeta = CycloNum.zeta(conductor)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randrange(top + 1) for _ in range(nvars))
+        c = CycloNum.from_rational(rng.randint(-5, 5), conductor)
+        terms[e] = c + rng.randint(-2, 2) * zeta ** rng.randrange(2 * conductor)
+    return MPoly("z", nvars, conductor, terms)
+
+
+class TestCompose:
+    @pytest.mark.parametrize("name", catalog_names() + ["G(2,1,3)"])
+    def test_matches_mpoly_compose(self, name):
+        if name in catalog_names():
+            _, inv = catalog(name)
+        else:
+            inv = fundamental_invariants(rank3_group(name))
+        rewriter = Rewriter(inv)
+        n, conductor = inv.phis[0].nvars, inv.phis[0].conductor
+        rng = random.Random(sum(map(ord, name)))
+        polys = [random_z_poly(rng, n, conductor) for _ in range(8)]
+        weights = [{sum(a * d for a, d in zip(e, inv.degrees)) for e in g.terms} for g in polys]
+        assert any(len(w) > 1 for w in weights)  # not weighted-homogeneous
+        # exponents far apart, summed into one result
+        polys.append(pz(f"z1^5 - 3 + z{n}^2", nvars=n, conductor=conductor))
+        for g in polys:
+            assert rewriter.compose(g) == g.compose(list(inv.phis))
+
+    def test_zero_and_constant(self):
+        _, inv = catalog("G4")
+        rewriter = Rewriter(inv)
+        assert rewriter.compose(MPoly.zero("z", 2, 12)) == MPoly.zero("x", 2, 12)
+        assert rewriter.compose(pz("7/3")) == px("7/3")
+
+    def test_rejects_x_space_polynomial(self):
+        _, inv = catalog("G(2,1,2)")
+        with pytest.raises(ValueError):
+            Rewriter(inv).compose(px("x1^2 + x2^2"))
+
+    def test_rewrite_residual_is_compose(self, monkeypatch):
+        _, inv = catalog("G(2,1,2)")
+        rewriter = Rewriter(inv)
+        composed = []
+        original = Rewriter.compose
+
+        def counting(self, g):
+            composed.append(g)
+            return original(self, g)
+
+        monkeypatch.setattr(Rewriter, "compose", counting)
+        assert rewriter.rewrite(px("x1^4 + x2^4")) == pz("z1^2 - 2*z2")
+        assert composed == [pz("z1^2 - 2*z2")]

@@ -116,6 +116,19 @@ class TestMutationDetection:
             "A_1 denominator", "A_2 denominator"
         ]
 
+    def test_cross_validation_makes_no_mpoly_compose_call(self, monkeypatch):
+        _, inv, _, sc, cs = pipeline("G4")
+        calls = []
+        original = MPoly.compose
+
+        def counting(self, args):
+            calls.append(self)
+            return original(self, args)
+
+        monkeypatch.setattr(MPoly, "compose", counting)
+        assert cross_validate(cs, sc, inv).all_passed
+        assert calls == []
+
     def test_denominator_space_mismatch(self):
         _, _, _, sc, cs = pipeline("G(2,1,2)")
         bad = dataclasses.replace(cs, numerators=sc.numerators)  # x-space!
