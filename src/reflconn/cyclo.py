@@ -373,24 +373,36 @@ class CycloNum:
 
     def __str__(self) -> str:
         """Render in the scalar grammar: sums of rational*zeta^k pieces."""
-        pieces = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            pieces.append((k, c))
-        if not pieces:
-            return "0"
-        parts = []
-        for idx, (k, c) in enumerate(pieces):
-            neg = c < 0
-            mag = -c if neg else c
-            if k == 0:
-                body = str(mag)
-            else:
-                z = "zeta" if k == 1 else f"zeta^{k}"
-                body = z if mag == 1 else f"{mag}*{z}"
-            if idx == 0:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return signed_sum(zip(self.coeffs, map(zeta_power, range(len(self._num)))))
+
+
+def zeta_power(k: int) -> str:
+    """zeta^k in the scalar grammar; empty for k = 0."""
+    return "" if k == 0 else "zeta" if k == 1 else f"zeta^{k}"
+
+
+def signed_sum(terms, glue: str = "*", number=str) -> str:
+    """Join (q, symbol) pairs, q rational, into "q1*s1 + q2*s2 - ...".
+
+    Each sign is written as an operator and each magnitude by number; a
+    magnitude 1 is left out before a symbol, an empty symbol leaves the
+    number alone, and glue joins a number to its symbol.  Terms with q = 0
+    are dropped, and nothing left prints "0".
+    """
+    out = []
+    for q, symbol in terms:
+        if not q:
+            continue
+        mag = abs(q)
+        if not symbol:
+            body = number(mag)
+        elif mag == 1:
+            body = symbol
+        else:
+            body = f"{number(mag)}{glue}{symbol}"
+        if out:
+            out.append(" - " if q < 0 else " + ")
+        elif q < 0:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import lcm
 
 from .cyclo import CycloNum
@@ -26,14 +26,16 @@ Matrix = tuple[tuple[CycloNum, ...], ...]
 class GroupData:
     """A finite matrix group; element 0 is the identity.
 
-    reflection_indices and det_char_order are filled in by
-    validate_reflection_group.
+    element_index maps each element to its position in elements, as the
+    closure found it.  reflection_indices and det_char_order are filled in
+    by validate_reflection_group.
     """
 
     rank: int
     conductor: int
     elements: tuple[Matrix, ...]
     generator_indices: tuple[int, ...]
+    element_index: dict[Matrix, int] = field(compare=False, repr=False)
     reflection_indices: tuple[int, ...] = ()
     det_char_order: int = 0
     name: str = ""
@@ -47,8 +49,8 @@ class GroupData:
 
     def index_of(self, matrix: Matrix) -> int:
         try:
-            return self.elements.index(matrix)
-        except ValueError:
+            return self.element_index[matrix]
+        except KeyError:
             raise NotAMember("matrix is not an element of the group") from None
 
 
@@ -99,6 +101,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, name: str = "") -> GroupData
         conductor=conductor,
         elements=tuple(elements),
         generator_indices=gen_indices,
+        element_index=seen,
         name=name,
     )
 
@@ -130,7 +133,6 @@ def validate_reflection_group(group: GroupData) -> GroupData:
 
     # closure of the reflections inside the (finite) element set; G is
     # generated by its generators, so it is reached once they all are
-    element_index = {m: i for i, m in enumerate(group.elements)}
     gens = set(group.generator_indices)
     reached = set(refl)
     reached.add(0)
@@ -140,7 +142,7 @@ def validate_reflection_group(group: GroupData) -> GroupData:
         nxt = []
         for i in frontier:
             for r in refl_mats:
-                j = element_index[mat_mul(group.elements[i], r)]
+                j = group.element_index[mat_mul(group.elements[i], r)]
                 if j not in reached:
                     reached.add(j)
                     nxt.append(j)

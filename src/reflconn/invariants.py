@@ -19,9 +19,8 @@ from .errors import (
 )
 from .groups import GroupData, group_from_spec
 from .linalg import det as mat_det
-from .linalg import row_echelon
 from .parsing import parse_expr
-from .poly import MPoly, grlex_key
+from .poly import MPoly, grlex_key, top_reduce, weighted_exponents
 
 
 @dataclass(frozen=True)
@@ -143,48 +142,25 @@ def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]
 
 # -- fundamental invariants -------------------------------------------------
 
-def _monomials_of_degree(nvars: int, degree: int):
-    """Exponent vectors of total degree, descending grlex."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, nvars)
-    out.sort(key=grlex_key, reverse=True)
-    return out
-
-
-def _coefficient_vector(f: MPoly, monomials):
-    return [f.coefficient(e) for e in monomials]
-
-
 def _invariant_basis(group: GroupData, degree: int, dim: int):
     """Linearly independent Reynolds images of degree-d monomials, in
     grlex candidate order, up to dim of them: the dimension of the degree-d
     invariants, from the Molien series."""
-    monomials = _monomials_of_degree(group.rank, degree)
+    monomials = sorted(
+        weighted_exponents(degree, (1,) * group.rank), key=grlex_key, reverse=True
+    )
     basis = []
-    rows = []  # echelon rows for the independence test
+    reduced: dict[tuple[int, ...], MPoly] = {}  # the span of basis, top-reduced
     for exps in monomials:
         mono = MPoly(
             "x", group.rank, group.conductor, {exps: CycloNum.one(group.conductor)}
         )
         inv = reynolds(mono, group)
-        if inv.is_zero():
-            continue
-        vec = _coefficient_vector(inv, monomials)
-        candidate_rows = rows + [vec]
-        reduced, pivots = row_echelon(candidate_rows)
-        if len(pivots) > len(rows):
-            rows = [r for r in reduced if any(r)]
+        r = top_reduce(inv, reduced)
+        if r:
+            reduced[r.leading_term()[0]] = r
             # normalize: monic leading coefficient
-            lead = inv.leading_coefficient()
-            basis.append(inv * lead.inverse())
+            basis.append(inv * inv.leading_coefficient().inverse())
             if len(basis) == dim:
                 return basis
     raise DegreeSearchFailed(

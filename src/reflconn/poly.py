@@ -10,13 +10,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycloNum, cyclotomic_coeffs
+from .cyclo import CycloNum, cyclotomic_coeffs, signed_sum
 from .errors import ConductorMismatch, NotDivisible, NonHomogeneousInput
 from .linalg import mat_inverse
 
 
 def grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
+
+
+def weighted_exponents(target: int, weights) -> list[tuple[int, ...]]:
+    """All e >= 0 with sum e_i * weights_i == target, in ascending
+    lexicographic order; the weights are positive."""
+    w = weights[0]
+    if len(weights) == 1:
+        q, r = divmod(target, w)
+        return [] if r else [(q,)]
+    return [
+        (e,) + tail
+        for e in range(target // w + 1)
+        for tail in weighted_exponents(target - e * w, weights[1:])
+    ]
 
 
 class MPoly:
@@ -58,7 +72,14 @@ class MPoly:
         return cls(alphabet, nvars, conductor, {exps: CycloNum.one(conductor)})
 
     def _like(self, terms):
-        return MPoly(self.alphabet, self.nvars, self.conductor, terms)
+        """A polynomial of this space on terms, a dict of tuple exponents
+        with no zero coefficient, taken as is."""
+        p = object.__new__(MPoly)
+        p.alphabet = self.alphabet
+        p.nvars = self.nvars
+        p.conductor = self.conductor
+        p.terms = terms
+        return p
 
     def _check_compat(self, other: "MPoly"):
         if self.alphabet != other.alphabet or self.nvars != other.nvars:
@@ -265,7 +286,8 @@ class MPoly:
         # coefficients are row j of M^{-1}
         n = self.nvars
         images = [
-            self._like({tuple(int(k == i) for k in range(n)): c for i, c in enumerate(row)})
+            MPoly(self.alphabet, n, self.conductor,
+                  {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(row)})
             for row in mat_inverse(matrix)
         ]
         return self.compose(images)
@@ -302,31 +324,17 @@ class MPoly:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for idx, (exps, coeff) in enumerate(self.sorted_terms()):
+        terms = []
+        for exps, coeff in self.sorted_terms():
             mono = self._monomial_str(exps)
             if coeff.is_rational():
-                q = coeff.rational_value()
-                neg = q < 0
-                mag = -q if neg else q
-                if mono and mag == 1:
-                    body = mono
-                elif mono:
-                    body = f"{mag}*{mono}"
-                else:
-                    body = str(mag)
-                sep = (" - " if neg else " + ") if idx else ("-" if neg else "")
-            else:
-                cs = str(coeff)
-                needs_parens = (" + " in cs) or (" - " in cs) or cs.startswith("-")
-                if needs_parens:
-                    cs = f"({cs})"
-                body = f"{cs}*{mono}" if mono else cs
-                sep = " + " if idx else ""
-            out.append(sep + body)
-        return "".join(out)
+                terms.append((coeff.rational_value(), mono))
+                continue
+            cs = str(coeff)
+            if (" + " in cs) or (" - " in cs) or cs.startswith("-"):
+                cs = f"({cs})"
+            terms.append((1, f"{cs}*{mono}" if mono else cs))
+        return signed_sum(terms)
 
 
 def cyclotomic_polynomial(n: int, alphabet: str = "x", conductor: int | None = None) -> MPoly:
@@ -436,6 +444,22 @@ class RatFun:
             p = self.num * c.inverse()
             return str(p)
         return f"({self.num})/({self.den})"
+
+
+def top_reduce(p: MPoly, basis: dict) -> MPoly:
+    """p with its leading term cancelled against basis for as long as it can.
+
+    basis maps distinct leading monomials to polynomials with those leading
+    monomials, so they are independent, and the result is zero iff p lies
+    in their span; otherwise its leading monomial is not a key of basis.
+    """
+    while p:
+        lead, c = p.leading_term()
+        q = basis.get(lead)
+        if q is None:
+            break
+        p = p - q * (c / q.terms[lead])
+    return p
 
 
 def require_homogeneous(f: MPoly) -> int:

@@ -2,7 +2,8 @@
 
 JSON keeps exact zeta-basis coefficient strings (parser round-trippable);
 text and LaTeX print coefficients in the 1, i, sqrt(3), i*sqrt(3) basis
-when the conductor allows it, for readability.
+when the conductor allows it, for readability, and in powers of zeta
+otherwise; every sum is joined by cyclo.signed_sum.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .connection import ConnectionSystem
-from .cyclo import CycloNum
+from .cyclo import CycloNum, signed_sum, zeta_power
 from .errors import DenominatorMismatch, InvalidSpec, NotDivisible
 from .groups import is_matrix, is_positive_int
 from .invariants import InvariantTuple
@@ -48,36 +49,26 @@ def to_readable_basis(c: CycloNum):
     return tuple(sum(a * q for a, q in zip(row, coeffs)) for row in _readable_basis_inverse())
 
 
-def _readable_coeff(c: CycloNum, latex: bool) -> str:
+# the names of 1, i, sqrt(3), i*sqrt(3) in text (False) and LaTeX (True)
+_BASIS_NAMES = {
+    False: ("", "i", "sqrt(3)", "i*sqrt(3)"),
+    True: ("", "i", r"\sqrt{3}", r"i\sqrt{3}"),
+}
+
+
+def _zeta_power_tex(k: int) -> str:
+    # the empty group ends the control word before a following variable
+    return "" if k == 0 else r"\zeta{}" if k == 1 else rf"\zeta^{{{k}}}"
+
+
+def _readable_terms(c: CycloNum, latex: bool) -> list:
+    """Nonzero (rational, symbol) pairs that sum to c: in the readable basis
+    at conductor 12, in powers of zeta otherwise."""
     coords = to_readable_basis(c)
-    if coords is None:
-        return str(c)
-    names = (
-        ["", "i", r"\sqrt{3}", r"i\sqrt{3}"]
-        if latex
-        else ["", "i", "sqrt(3)", "i*sqrt(3)"]
-    )
-    parts = []
-    for q, sym in zip(coords, names):
-        if not q:
-            continue
-        neg = q < 0
-        mag = -q if neg else q
-        if sym == "":
-            body = _frac_str(mag, latex)
-        elif mag == 1:
-            body = sym
-        else:
-            glue = "" if latex else "*"
-            body = f"{_frac_str(mag, latex)}{glue}{sym}"
-        parts.append(("-" if neg else "+", body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    if coords is not None:
+        return [(q, sym) for q, sym in zip(coords, _BASIS_NAMES[latex]) if q]
+    power = _zeta_power_tex if latex else zeta_power
+    return [(q, power(k)) for k, q in enumerate(c.coeffs) if q]
 
 
 def _frac_str(q: Fraction, latex: bool) -> str:
@@ -89,10 +80,18 @@ def _frac_str(q: Fraction, latex: bool) -> str:
 
 
 def readable_poly(p: MPoly, latex: bool = False) -> str:
-    if p.is_zero():
-        return "0"
-    out = []
-    for idx, (exps, coeff) in enumerate(p.sorted_terms()):
+    """p with readable coefficients: a one-term coefficient carries its sign
+    into the sum, a longer one is parenthesised."""
+    glue = "" if latex else "*"
+
+    def number(q):
+        return _frac_str(q, latex)
+
+    def glued(*parts):
+        return glue.join(part for part in parts if part)
+
+    terms = []
+    for exps, coeff in p.sorted_terms():
         mono_parts = []
         for i, e in enumerate(exps):
             if e == 0:
@@ -104,25 +103,14 @@ def readable_poly(p: MPoly, latex: bool = False) -> str:
                 mono_parts.append(f"{v}^{{{e}}}")
             else:
                 mono_parts.append(f"{v}^{e}")
-        mono = ("" if latex else "*").join(mono_parts)
-        cs = _readable_coeff(coeff, latex)
-        multi = (" + " in cs) or (" - " in cs)
-        neg = (not multi) and cs.startswith("-")
-        if neg:
-            cs = cs[1:]
-        if multi:
-            cs = f"({cs})"
-        if mono:
-            if cs == "1":
-                body = mono
-            else:
-                glue = "" if latex else "*"
-                body = f"{cs}{glue}{mono}"
+        mono = glue.join(mono_parts)
+        pieces = _readable_terms(coeff, latex)
+        if len(pieces) == 1:
+            q, sym = pieces[0]
+            terms.append((q, glued(sym, mono)))
         else:
-            body = cs
-        sep = (" - " if neg else " + ") if idx else ("-" if neg else "")
-        out.append(sep + body)
-    return "".join(out)
+            terms.append((1, glued(f"({signed_sum(pieces, glue, number)})", mono)))
+    return signed_sum(terms, glue, number)
 
 
 def readable_ratfun(r: RatFun, latex: bool = False) -> str:

@@ -22,7 +22,7 @@ from .cyclo import CycloNum
 from .errors import NotInvariant
 from .invariants import InvariantTuple
 from .linalg import identity_matrix, solve_unique
-from .poly import MPoly, grlex_key, require_homogeneous
+from .poly import MPoly, grlex_key, require_homogeneous, top_reduce, weighted_exponents
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,8 @@ def exponent_set(target: int, degrees) -> ExponentSet:
     degrees = tuple(degrees)
     if target < 0 or any(d <= 0 for d in degrees):
         raise ValueError("target must be >= 0 and degrees positive")
-    members: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining):
-        i = len(prefix)
-        if i == len(degrees) - 1:
-            q, r = divmod(remaining, degrees[i])
-            if r == 0:
-                members.append(tuple(prefix + [q]))
-            return
-        d = degrees[i]
-        for e in range(remaining // d + 1):
-            rec(prefix + [e], remaining - e * d)
-
-    rec([], target)
-    members.sort()
-    return ExponentSet(target=target, degrees=degrees, members=tuple(members))
+    members = tuple(weighted_exponents(target, degrees))
+    return ExponentSet(target=target, degrees=degrees, members=members)
 
 
 @dataclass(frozen=True)
@@ -124,17 +110,12 @@ class Rewriter:
         # monomial is new; the leading monomials are then the pivots
         reduced: dict[tuple[int, ...], MPoly] = {}
         for p in products:
-            while p:
-                lead, c = p.leading_term()
-                q = reduced.get(lead)
-                if q is None:
-                    reduced[lead] = p
-                    break
-                p = p - q * (c / q.terms[lead])
-            else:
+            p = top_reduce(p, reduced)
+            if not p:
                 raise AssertionError(
                     "rewriting products are linearly dependent; invariants are dependent"
                 )
+            reduced[p.leading_term()[0]] = p
         pivots = tuple(sorted(reduced, key=grlex_key, reverse=True))
         rows = [[p.coefficient(m) for p in products] for m in pivots]
         units = identity_matrix(len(pivots), self.conductor)

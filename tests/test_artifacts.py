@@ -101,3 +101,34 @@ def test_reynolds_artifacts_are_pinned(name):
 def test_reynolds_invariants_are_pinned(name):
     _, phi = _reynolds_invariants(name)
     assert tuple(str(p) for p in phi.phis) == REYNOLDS_PHIS[name]
+
+
+# (json, text, latex) of the rank-3 systems the benchmark builds, on the
+# invariants above.  At their conductors, 1 and 3, the LaTeX writes its
+# coefficients in powers of zeta, the rational ones as \tfrac.
+RANK3_SHA256 = {
+    "G(2,1,3)": (
+        "1fd51e20078def9051f14bcdebeae97595adf3b882120933f0b46f95ee558566",
+        "9ca40744c25f552e86b9e9e62d82da97236ac37ba623d4b67d1b98d1366abc61",
+        "8a751020c0fc2f7064bd89b7e314f07893df623a3a5a9fabc602d01ec5ffbd13",
+    ),
+    "G(3,3,3)": (
+        "d313e3a13fc96370336b5ad933d44faf778d8d7417b31a577439d42c089bda6a",
+        "7c8316ec379081b4ae295b6a07285b9e3c6891ab204bb3c8f877297c2cba8860",
+        "9a92a850671c23c2354155c5b2badaed5bbffab096943fb112a38e9f180f7359",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK3_SHA256))
+def test_rank3_artifacts_are_pinned(name):
+    group, phi = _reynolds_invariants(name)
+    jd = jacobian(phi, det_char_order=group.det_char_order)
+    cs = connection_in_z(scaled_connection(jd, group=group), phi)
+    latex = render_latex(cs, name)
+    json_sha, text_sha, latex_sha = RANK3_SHA256[name]
+    assert _sha256(render_json(cs, name, group.conductor)) == json_sha
+    assert _sha256(render_text(cs, name)) == text_sha
+    assert _sha256(latex) == latex_sha
+    # the scalar grammar's "1/2" is not LaTeX
+    assert r"\tfrac{" in latex and "/" not in latex

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflconn.cyclo import CycloNum, cyclotomic_coeffs, euler_phi
+from reflconn.cyclo import CycloNum, cyclotomic_coeffs, euler_phi, signed_sum
 from reflconn.errors import ConductorMismatch
+from reflconn.parsing import parse_scalar
 
 
 def C(*coords):
@@ -147,6 +148,27 @@ class TestFieldAxioms:
         assert (a == b) == (a.coeffs == b.coeffs)
         if a == b:
             assert hash(a) == hash(b)
+
+
+class TestSignedSum:
+    def test_signs_units_and_empty_symbols(self):
+        terms = [(Fraction(-1, 2), ""), (0, "a"), (1, "b"), (-3, "c"), (-1, "d")]
+        assert signed_sum(terms) == "-1/2 + b - 3*c - d"
+        assert signed_sum([(-1, ""), (2, "a")], "", lambda q: f"<{q}>") == "-<1> + <2>a"
+
+    def test_nothing_left_is_zero(self):
+        assert signed_sum([]) == "0"
+        assert signed_sum([(0, "a"), (Fraction(0), "")]) == "0"
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 12])
+    def test_cyclonum_str_parses_back(self, n):
+        z = CycloNum.zeta(n)
+        for c in (CycloNum.zero(n), -z, 1 - z / 3, z ** 2 * Fraction(-7, 4) + 2):
+            assert parse_scalar(str(c), n) == c
+
+    def test_cyclonum_str(self):
+        assert str(-CycloNum.zeta(3)) == "-zeta"
+        assert str(2 * CycloNum.zeta(5) ** 3 - Fraction(1, 2)) == "-1/2 + 2*zeta^3"
 
 
 class TestZetaPowers:

@@ -74,6 +74,11 @@ class TestReflections:
         m = parse_matrix([["1", "0"], ["0", "zeta^4"]], 12)
         assert is_reflection_matrix(m, 12)
 
+    def test_index_of_reads_the_closure_map(self):
+        g = catalog("G4")[0]
+        assert g.element_index == {m: i for i, m in enumerate(g.elements)}
+        assert all(g.index_of(m) == i for i, m in enumerate(g.elements))
+
     def test_membership_required(self):
         g = validate_reflection_group(close_group([SWAP, DIAG]))
         assert is_reflection(SWAP, g)

@@ -15,7 +15,7 @@ from reflconn.invariants import (
     reynolds,
 )
 from reflconn.linalg import det as mat_det
-from reflconn.poly import MPoly
+from reflconn.poly import MPoly, weighted_exponents
 
 from conftest import catalog, px, rank3_group, sign_group
 
@@ -140,7 +140,7 @@ class TestFundamentalInvariants:
         basis = invariants._invariant_basis(group, 6, 3)
         assert len(basis) == 3
         assert len(calls) == 13
-        assert len(invariants._monomials_of_degree(3, 6)) == 28
+        assert len(weighted_exponents(6, (1, 1, 1))) == 28
 
     def test_short_reynolds_basis_is_rejected(self, monkeypatch):
         # x1^2*x2^2 is the only monomial whose image completes the two

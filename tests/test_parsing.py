@@ -194,6 +194,29 @@ class TestNestingAndDigitBounds:
         assert exc.value.position == MAX_DIGITS + 1
 
 
+class TestFlatSums:
+    def test_sum_tests_each_coefficient_a_bounded_number_of_times(self, monkeypatch):
+        # the 1,326 monomials of degree 50 in x1..x3: adding a term once
+        # tested every coefficient of the sum so far again (941,671 calls)
+        terms = [f"{i + j + 1}*x1^{50 - i - j}*x2^{i}*x3^{j}"
+                 for i in range(51) for j in range(51 - i)]
+        nonzero = CycloNum.__bool__
+        calls = []
+
+        def counting(c):
+            calls.append(None)
+            return nonzero(c)
+
+        monkeypatch.setattr(CycloNum, "__bool__", counting)
+        counts = []
+        for k in (len(terms) // 2, len(terms)):
+            calls.clear()
+            assert len(px(" + ".join(terms[:k]), nvars=3).terms) == k
+            counts.append(len(calls))
+        assert counts[1] < 2.2 * counts[0]
+        assert counts[1] < 40 * len(terms)
+
+
 FUZZ_TOKENS = ["x1", "x2", "zeta", "(", ")", "+", "-", "*", "/", "^", " "]
 FUZZ_TOKENS += list("0123456789")
 

@@ -1,5 +1,6 @@
 """Sparse polynomial and rational-function arithmetic, plus the group action."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from reflconn.poly import (
     cyclotomic_polynomial,
     grlex_key,
     require_homogeneous,
+    top_reduce,
+    weighted_exponents,
 )
 
 from conftest import px, pz
@@ -75,6 +78,67 @@ class TestBasics:
                     terms[exps] = c
             f = MPoly("x", 2, 12, terms)
             assert px(str(f)) == f
+
+
+class TestNoZeroTerms:
+    def test_results_hold_no_zero_coefficient(self):
+        # operations build their term dicts without zeros, and a zero-holding
+        # dict goes through the constructor, which drops them
+        f, g = px("x1^2 + zeta*x1*x2 - x2^2"), px("x1^2 - x2^2")
+        swap = parse_matrix([["0", "1"], ["1", "0"]], 12)
+        results = [
+            f + (-f), f - g, f * g, f * 0, -f, f * Fraction(2, 3), f.partial(2),
+            (f * g).exact_div(g), f.substitute_linear(swap),
+            MPoly("x", 2, 12, {(1, 0): CycloNum.zero(12), (0, 1): CycloNum.one(12)}),
+        ]
+        for p in results:
+            assert all(p.terms.values())
+        assert results[0].is_zero() and results[-1] == px("x2")
+
+
+class TestWeightedExponents:
+    def test_small_cases(self):
+        assert weighted_exponents(8, (2, 4)) == [(0, 2), (2, 1), (4, 0)]
+        assert weighted_exponents(5, (2, 4)) == []
+        assert weighted_exponents(0, (3, 1)) == [(0, 0)]
+        assert weighted_exponents(6, (6,)) == [(1,)]
+
+    def test_matches_brute_force_in_lex_order(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            weights = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(1, 4)))
+            target = rng.randrange(13)
+            expected = [
+                e for e in itertools.product(range(target + 1), repeat=len(weights))
+                if sum(a * w for a, w in zip(e, weights)) == target
+            ]
+            assert weighted_exponents(target, weights) == expected
+
+
+class TestTopReduce:
+    BASIS = ("x1^3 + x2^3", "x1^2*x2 - zeta*x1*x2^2", "x2^3")
+
+    def _basis(self):
+        return {p.leading_term()[0]: p for p in map(px, self.BASIS)}
+
+    def test_span_reduces_to_zero(self):
+        basis = self._basis()
+        rng = random.Random(5)
+        for _ in range(10):
+            combo = MPoly.zero("x", 2, 12)
+            for p in basis.values():
+                combo = combo + p * CycloNum(12, [Fraction(rng.randrange(-3, 4)) for _ in range(4)])
+            assert top_reduce(combo, basis).is_zero()
+
+    def test_outside_the_span_keeps_a_new_leading_monomial(self):
+        basis = self._basis()
+        f = px("x1^3 + 2*x1*x2^2 + x2^3")  # x1*x2^2 is no leading monomial
+        r = top_reduce(f, basis)
+        assert r == px("2*x1*x2^2")
+        assert r.leading_term()[0] not in basis
+        g = px("x1*x2^2 + x1^2*x2")
+        assert top_reduce(g, {}) == g
+        assert top_reduce(g, basis) == px("(1 + zeta)*x1*x2^2")
 
 
 class TestDivision:

@@ -48,6 +48,20 @@ class TestReadableBasis:
         f = px("x1^4 + (-2 + 4*zeta^2)*x1^2*x2^2 + x2^4")
         assert readable_poly(f) == "x1^4 + 2*i*sqrt(3)*x1^2*x2^2 + x2^4"
 
+    def test_conductor_three_prints_powers_of_zeta(self):
+        # str keeps the scalar grammar, which parses back; readable_poly
+        # carries a one-term coefficient's sign into the sum
+        f = px("x1^2 - zeta*x1 + (1 + zeta)*x2 + 1/2", conductor=3)
+        assert str(f) == "x1^2 + (-zeta)*x1 + (1 + zeta)*x2 + 1/2"
+        assert px(str(f), conductor=3) == f
+        assert readable_poly(f) == "x1^2 - zeta*x1 + (1 + zeta)*x2 + 1/2"
+        assert readable_poly(f, latex=True) == (
+            r"x_{1}^{2} - \zeta{}x_{1} + (1 + \zeta{})x_{2} + \tfrac{1}{2}"
+        )
+        g = px("-2/3*zeta*x1^2*x2", conductor=3)
+        assert readable_poly(g) == "-2/3*zeta*x1^2*x2"
+        assert readable_poly(g, latex=True) == r"-\tfrac{2}{3}\zeta{}x_{1}^{2}x_{2}"
+
 
 class TestRenderers:
     def test_text_contains_system(self):
