@@ -4,11 +4,11 @@ invariants, and the built-in catalog of groups with known invariants."""
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import product
 
 from .cyclo import CycloNum
 from .errors import (
@@ -92,15 +92,15 @@ def molien_series(group: GroupData, precision: int):
     return total
 
 
-def _degrees_from_series(group: GroupData, series) -> tuple[int, ...]:
-    """Degrees of the fundamental invariants, read off a truncated Molien
-    series.
+def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]:
+    """Degrees of the fundamental invariants, read off the Molien series.
 
     Iteratively strips factors 1/(1 - t^d) starting from the lowest
     nonconstant term; cross-checks the product against the group order and
     the sum against the reflection count.
     """
-    precision = len(series)
+    precision = max_degree + 1
+    series = molien_series(group, precision)
     degrees = []
     for _ in range(group.rank):
         d = None
@@ -135,67 +135,51 @@ def _degrees_from_series(group: GroupData, series) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]:
-    """Degrees of the fundamental invariants, read off the Molien series."""
-    return _degrees_from_series(group, molien_series(group, max_degree + 1))
-
-
 # -- fundamental invariants -------------------------------------------------
 
-def _invariant_basis(group: GroupData, degree: int, dim: int):
-    """Linearly independent Reynolds images of degree-d monomials, in
-    grlex candidate order, up to dim of them: the dimension of the degree-d
-    invariants, from the Molien series."""
-    monomials = sorted(
-        weighted_exponents(degree, (1,) * group.rank), key=grlex_key, reverse=True
-    )
-    basis = []
-    reduced: dict[tuple[int, ...], MPoly] = {}  # the span of basis, top-reduced
-    for exps in monomials:
-        mono = MPoly(
-            "x", group.rank, group.conductor, {exps: CycloNum.one(group.conductor)}
-        )
-        inv = reynolds(mono, group)
-        r = top_reduce(inv, reduced)
-        if r:
-            reduced[r.leading_term()[0]] = r
-            # normalize: monic leading coefficient
-            basis.append(inv * inv.leading_coefficient().inverse())
-            if len(basis) == dim:
-                return basis
-    raise DegreeSearchFailed(
-        f"Reynolds images span {len(basis)} of the {dim} degree-{degree} invariants"
-    )
-
-
 def fundamental_invariants(group: GroupData, max_degree: int = 64) -> InvariantTuple:
-    """Reynolds-derived fundamental invariants with nonzero Jacobian."""
-    series = molien_series(group, max_degree + 1)
-    degrees = _degrees_from_series(group, series)
-    candidates = {
-        d: _invariant_basis(group, d, int(series[d].rational_value()))
-        for d in sorted(set(degrees))
-    }
-    slots = list(degrees)
-    index_ranges = [range(len(candidates[d])) for d in slots]
-    for combo in product(*index_ranges):
-        # repeated degrees must use distinct candidates
-        used = {}
-        ok = True
-        for d, i in zip(slots, combo):
-            if (d, i) in used:
-                ok = False
-                break
-            used[(d, i)] = True
-        if not ok:
-            continue
-        phis = tuple(candidates[d][i] for d, i in zip(slots, combo))
-        jac = [[phi.partial(j + 1) for j in range(group.rank)] for phi in phis]
-        if mat_det(jac):
-            return InvariantTuple(phis=phis, degrees=tuple(slots), source="reynolds")
-    raise IndependenceSearchFailed(
-        "no algebraically independent combination of invariants found"
-    )
+    """Reynolds-derived fundamental invariants, picked degree by degree
+    modulo the decomposables.
+
+    At each Molien degree d, in ascending order, the degree-d products of
+    the invariants already picked are top-reduced into a span; the Reynolds
+    images of the degree-d monomials, in grlex order, are kept while they do
+    not top-reduce to zero against it, each adding its remainder, until as
+    many are kept as d occurs among the degrees.  A kept invariant is the
+    monic Reynolds image itself.  det J != 0 certifies the result.
+    """
+    degrees = invariant_degrees(group, max_degree)
+    n, conductor = group.rank, group.conductor
+    one = CycloNum.one(conductor)
+    phis: list[MPoly] = []
+    for d in sorted(set(degrees)):
+        span: dict[tuple[int, ...], MPoly] = {}
+        for e in weighted_exponents(d, degrees[: len(phis)]) if phis else ():
+            r = top_reduce(math.prod(phi ** k for phi, k in zip(phis, e) if k), span)
+            if not r:
+                raise IndependenceSearchFailed(
+                    f"products of the invariants below degree {d} are dependent"
+                )
+            span[r.leading_term()[0]] = r
+        need = degrees.count(d)
+        kept = []
+        for exps in sorted(weighted_exponents(d, (1,) * n), key=grlex_key, reverse=True):
+            inv = reynolds(MPoly("x", n, conductor, {exps: one}), group)
+            r = top_reduce(inv, span)
+            if r:
+                span[r.leading_term()[0]] = r
+                kept.append(inv * inv.leading_coefficient().inverse())
+                if len(kept) == need:
+                    break
+        else:
+            raise DegreeSearchFailed(
+                f"Reynolds images give {len(kept)} of the {need} degree-{d} "
+                "invariants outside the products of lower ones"
+            )
+        phis.extend(kept)
+    if not mat_det([[phi.partial(j + 1) for j in range(n)] for phi in phis]):
+        raise IndependenceSearchFailed("the invariants found have a zero Jacobian")
+    return InvariantTuple(phis=tuple(phis), degrees=degrees, source="reynolds")
 
 
 # -- catalog ---------------------------------------------------------------

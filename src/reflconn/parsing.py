@@ -121,25 +121,28 @@ class _Parser:
         return result
 
     def expr(self) -> tuple[MPoly, int]:
-        """The sum, and the bits of its coefficients, checked here."""
+        """The sum, and the bits of its coefficients, checked here.  The
+        terms are added up in one dict, so a flat sum takes linear time."""
         kind, value, start = self.peek()
-        negate = False
+        sign = "+"
         if kind == "op" and value == "-":
             self.next()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
+            sign = "-"
+        terms: dict = {}
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                rhs = self.term()
-                acc = acc + rhs if value == "+" else acc - rhs
-            else:
-                bits = _coeff_bits(acc)
-                _check_coeff_bits(bits, start)
-                return acc, bits
+            for e, c in self.term().terms.items():
+                if sign == "-":
+                    c = -c
+                cur = terms.get(e)
+                terms[e] = c if cur is None else cur + c
+            kind, sign, _ = self.peek()
+            if kind != "op" or sign not in "+-":
+                break
+            self.next()
+        acc = MPoly(self.alphabet, self.nvars, self.conductor, terms)
+        bits = _coeff_bits(acc)
+        _check_coeff_bits(bits, start)
+        return acc, bits
 
     def term(self) -> MPoly:
         acc, bits = self.factor()

@@ -54,15 +54,17 @@ class _DegreeSystem:
 
 class Rewriter:
     """Rewriting engine bound to one invariant tuple; caches products and
-    one pivot system per degree."""
+    one pivot system per degree.  nvars counts the x-variables; the
+    z-space has one variable per invariant."""
 
     def __init__(self, phi: InvariantTuple):
         self.phi = phi
         model = phi.phis[0]
         self.nvars = model.nvars
+        self.nz = len(phi.phis)
         self.conductor = model.conductor
         one = MPoly.constant(1, "x", self.nvars, self.conductor)
-        self._products: dict[tuple[int, ...], MPoly] = {(0,) * self.nvars: one}
+        self._products: dict[tuple[int, ...], MPoly] = {(0,) * self.nz: one}
         self._systems: dict[int, _DegreeSystem] = {}
 
     def product(self, exps: tuple[int, ...]) -> MPoly:
@@ -125,7 +127,7 @@ class Rewriter:
 
     def compose(self, g: MPoly) -> MPoly:
         """g(phi) in x, as sum c_e phi^e over the cached products phi^e."""
-        if g.alphabet != "z" or g.nvars != self.nvars:
+        if g.alphabet != "z" or g.nvars != self.nz:
             raise ValueError("compose expects a z-space polynomial, one variable per invariant")
         terms: dict[tuple[int, ...], CycloNum] = {}
         for e, c in g.terms.items():
@@ -142,7 +144,7 @@ class Rewriter:
         if f.alphabet != "x":
             raise ValueError("rewrite expects an x-space polynomial")
         if f.is_zero():
-            return MPoly.zero("z", self.nvars, self.conductor)
+            return MPoly.zero("z", self.nz, self.conductor)
         system = self._system(require_homogeneous(f))
         zero = CycloNum.zero(self.conductor)
         coeffs = [zero] * len(system.members)
@@ -151,7 +153,7 @@ class Rewriter:
             if b:
                 coeffs = [c + b * a if a else c for c, a in zip(coeffs, column)]
         terms = {e: c for e, c in zip(system.members, coeffs) if c}
-        g = MPoly("z", self.nvars, self.conductor, terms)
+        g = MPoly("z", self.nz, self.conductor, terms)
         if self.compose(g) != f:
             raise NotInvariant(
                 "polynomial is not in the subring generated by the invariants"

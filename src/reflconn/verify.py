@@ -8,6 +8,7 @@ group action.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -218,9 +219,15 @@ def full_report(
     The equivariance and determinant-character results are the ones that
     scaled_connection(jd, group) ran and kept on sc.
 
-    The Picard-Vessiot property of the resulting system is a theorem given
-    the construction plus these identities; it has no finite symbolic
-    certificate of its own and is not machine-checked here.
+    Together they certify that the differential Galois group over C(z) is
+    G.  Y = J solves the system (cross-validation ties it to
+    A_l = delta_l(J) J^-1), and Euler's identity J x = (d_i z_i)_i puts x in
+    the field that J generates over C(z), so the Picard-Vessiot field is
+    C(x) and its Galois group is G exactly when C(x)^G = C(z), that is, when
+    the phi generate the invariants of the reflection group G.  For
+    invariant, homogeneous phi with det J != 0, which jacobian requires,
+    that holds iff the degrees multiply to |G| (Kane, Reflection Groups and
+    Invariant Theory, section 18): the check degree_product_equals_order.
     """
     if not sc.checks:
         raise ValueError("sc carries no group checks; build it with scaled_connection")
@@ -230,4 +237,7 @@ def full_report(
     t0 = time.perf_counter()
     inv_ok = all(check_invariance(p, group) for p in phi.phis)
     report.add("invariants_fixed_by_generators", inv_ok, "", time.perf_counter() - t0)
+    prod = math.prod(phi.degrees)
+    witness = "" if prod == group.order else f"degree product {prod}, |G| = {group.order}"
+    report.add("degree_product_equals_order", not witness, witness)
     return report

@@ -65,12 +65,35 @@ RANK3_GENERATORS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def rank3_group(name):
-    conductor, rows = RANK3_GENERATORS[name]
+# Groups whose derived invariants are pinned beyond the benchmark's: the
+# transpositions, then diag(zeta, 1, ...) for G(m,1,n) over Q(zeta_m).
+EXTRA_GENERATORS = {
+    "G(4,1,2)": (4, (
+        [["0", "1"], ["1", "0"]],
+        [["zeta", "0"], ["0", "1"]],
+    )),
+    "G(3,1,3)": (3, (
+        [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+        [["zeta", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    )),
+}
+
+
+def _closed(conductor, rows):
     return validate_reflection_group(
         close_group([parse_matrix(m, conductor) for m in rows])
     )
+
+
+@functools.lru_cache(maxsize=None)
+def rank3_group(name):
+    return _closed(*RANK3_GENERATORS[name])
+
+
+@functools.lru_cache(maxsize=None)
+def extra_group(name):
+    return _closed(*EXTRA_GENERATORS[name])
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from reflconn.invariants import (
 from reflconn.linalg import det as mat_det
 from reflconn.poly import MPoly, weighted_exponents
 
-from conftest import catalog, px, rank3_group, sign_group
+from conftest import catalog, extra_group, px, rank3_group, sign_group
 
 
 class TestReynolds:
@@ -125,36 +125,47 @@ class TestFundamentalInvariants:
         assert is_invariant(inv.phis[0], group)
 
 
-    def test_basis_search_stops_at_molien_dimension(self, monkeypatch):
-        # degree 6 of G(2,1,3) has 28 monomials and 3 invariants, the third
-        # of which is the Reynolds image of the 13th monomial in grlex order
+    def test_degree_six_takes_one_reynolds_call(self, monkeypatch):
+        # degree 6 of G(2,1,3) has 28 monomials and 3 invariants, two of
+        # them the products p2^3 and p2*p4; the image of x1^6, the first
+        # monomial in grlex order, lies outside their span
         group = rank3_group("G(2,1,3)")
         assert molien_series(group, 7)[6] == 3
         calls = []
 
         def counting(f, g):
-            calls.append(f)
+            calls.append(f.total_degree())
             return reynolds(f, g)
 
         monkeypatch.setattr(invariants, "reynolds", counting)
-        basis = invariants._invariant_basis(group, 6, 3)
-        assert len(basis) == 3
-        assert len(calls) == 13
+        inv = fundamental_invariants(group)
+        assert inv.degrees == (2, 4, 6)
+        assert calls == [2, 4, 6]
         assert len(weighted_exponents(6, (1, 1, 1))) == 28
 
     def test_short_reynolds_basis_is_rejected(self, monkeypatch):
-        # x1^2*x2^2 is the only monomial whose image completes the two
-        # degree-4 invariants of G(2,1,2); dropping it leaves the basis short
+        # with every degree-4 image of G(2,1,2) zero, nothing outside the
+        # span of p2^2 is left for the second invariant
         group, _ = catalog("G(2,1,2)")
 
         def dropping(f, g):
-            if set(f.terms) == {(2, 2)}:
+            if f.total_degree() == 4:
                 return MPoly.zero(f.alphabet, f.nvars, f.conductor)
             return reynolds(f, g)
 
         monkeypatch.setattr(invariants, "reynolds", dropping)
-        with pytest.raises(DegreeSearchFailed, match="span 1 of the 2 degree-4"):
+        with pytest.raises(DegreeSearchFailed, match="give 0 of the 1 degree-4"):
             fundamental_invariants(group)
+
+    @pytest.mark.parametrize("name,phis", [
+        ("G(4,1,2)", ("x1^4 + x2^4", "x1^8 + x2^8")),
+        ("G(3,1,3)", (
+            "x1^3 + x2^3 + x3^3", "x1^6 + x2^6 + x3^6", "x1^9 + x2^9 + x3^9",
+        )),
+    ])
+    def test_power_sums_are_pinned(self, name, phis):
+        inv = fundamental_invariants(extra_group(name))
+        assert tuple(str(p) for p in inv.phis) == phis
 
 
 class TestCatalog:

@@ -212,6 +212,27 @@ class TestCli:
         assert main(["compute", "--spec-file", str(path)]) == 0
         assert "B2-from-file" in capsys.readouterr().out
 
+    def test_non_fundamental_invariants_exit_3(self, tmp_path, capsys):
+        # p2^2 and p4 are invariant and independent, but of degrees 4 and
+        # 4: they generate a proper subring of the invariants of G(2,1,2)
+        spec = {
+            "name": "B2-squared",
+            "conductor": 12,
+            "rank": 2,
+            "generators": [
+                [["0", "1"], ["1", "0"]],
+                [["-1", "0"], ["0", "1"]],
+            ],
+            "invariants": ["(x1^2 + x2^2)^2", "x1^4 + x2^4"],
+        }
+        path = tmp_path / "b2.json"
+        path.write_text(json.dumps(spec))
+        assert main(["compute", "--spec-file", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[FAIL] degree_product_equals_order" in err
+        assert "degree product 16, |G| = 8" in err
+        assert err.count("[FAIL]") == 1
+
     def test_cap_flag(self, capsys):
         assert main(["compute", "--group", "G(2,1,2)", "--cap", "4"]) == 2
         assert "CapExceeded" in capsys.readouterr().err

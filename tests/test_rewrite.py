@@ -1,6 +1,7 @@
 """Rewriting invariant polynomials in the invariant coordinates."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,27 @@ class TestRewriteDihedral:
         _, inv = catalog("G(2,1,2)")
         with pytest.raises(NonHomogeneousInput):
             Rewriter(inv).rewrite(px("x1^2 + x2^2 + 1"))
+
+    def test_fewer_invariants_than_variables(self):
+        # one invariant over x1, x2: the z-space and the unit product have
+        # one variable; SIGALRM bounds the test should product loop again
+        phi = InvariantTuple((px("x1^2 + x2^2"),), (2,), "catalog")
+
+        def timeout(signum, frame):
+            raise TimeoutError("Rewriter.rewrite ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            rewriter = Rewriter(phi)
+            g = rewriter.rewrite(px("x1^4 + 2*x1^2*x2^2 + x2^4"))
+            with pytest.raises(NotInvariant):
+                rewriter.rewrite(px("x1^4 + x2^4"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert g == pz("z1^2", nvars=1)
+        assert rewriter.compose(g) == px("x1^4 + 2*x1^2*x2^2 + x2^4")
 
     def test_reynolds_image_is_rewritable(self):
         group, inv = catalog("G(2,1,2)")

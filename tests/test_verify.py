@@ -158,6 +158,7 @@ G4_REPORT_NAMES = [
     "cross_validation[A_1]",
     "cross_validation[A_2]",
     "invariants_fixed_by_generators",
+    "degree_product_equals_order",
 ]
 
 
