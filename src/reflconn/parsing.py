@@ -12,6 +12,11 @@ product, is at most MAX_DEGREE; the most terms every product and power can
 have is at most MAX_TERMS.  Parentheses nest at most MAX_NESTING deep, a
 run of digits is at most MAX_DIGITS long, and so is every numerator and
 denominator of the coefficients of the result and of each parenthesised part.
+
+A term is built as one coefficient and one exponent vector: numbers, zeta
+and variables only multiply the one and add to the other, and only a
+parenthesised factor is multiplied as an MPoly.  Every bound is checked as
+if each factor were an MPoly, at the same positions.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import ceil, comb, log2
+from operator import add
 
 from .cyclo import CycloNum
 from .errors import ExprSyntaxError, UnknownVariable
@@ -55,26 +61,32 @@ MAX_DIGITS = 1000
 MAX_COEFF_BITS = ceil(MAX_DIGITS * log2(10))
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z]\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
+
+# A token's closing run of digits: any Unicode decimal digits, as int() reads them.
+_DIGIT_RUN = re.compile(r"\d*\Z")
+
+# The kinds of factor that _Parser.factor returns, with the value each carries.
+_NUMBER = 0  # an int or Fraction
+_ZETA = 1  # the exponent of zeta
+_VAR = 2  # the 0-based index of the variable; its exponent is the degree
+_PART = 3  # the MPoly of a parenthesised part
 
 
 def _tokenize(text: str):
+    """(kind, text, position) tuples.  A variable, one letter and its index,
+    is a "var" token of its own, so the parser reads both off its text."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         token = m.group(kind)
-        if len(token) - len(token.rstrip("0123456789")) > MAX_DIGITS:
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {token!r}", m.start())
+        if len(token) > MAX_DIGITS and len(_DIGIT_RUN.search(token)[0]) > MAX_DIGITS:
             raise ExprSyntaxError(f"more than {MAX_DIGITS} digits", m.start(kind))
         tokens.append((kind, token, m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -110,9 +122,6 @@ class _Parser:
         if kind != "op" or value != symbol:
             raise ExprSyntaxError(f"expected {symbol!r}", pos)
 
-    def _const(self, value) -> MPoly:
-        return MPoly.constant(value, self.alphabet, self.nvars, self.conductor)
-
     def parse(self) -> MPoly:
         result, _ = self.expr()
         kind, value, pos = self.peek()
@@ -130,9 +139,7 @@ class _Parser:
             sign = "-"
         terms: dict = {}
         while True:
-            for e, c in self.term().terms.items():
-                if sign == "-":
-                    c = -c
+            for e, c in self.term(-1 if sign == "-" else 1).items():
                 cur = terms.get(e)
                 terms[e] = c if cur is None else cur + c
             kind, sign, _ = self.peek()
@@ -144,52 +151,110 @@ class _Parser:
         _check_coeff_bits(bits, start)
         return acc, bits
 
-    def term(self) -> MPoly:
-        acc, bits = self.factor()
+    def term(self, q) -> dict:
+        """The terms of q times one product, as exponent tuples to
+        coefficients.
+
+        The product is held as a rational q, an exponent of zeta, an
+        exponent vector and the MPoly product of its parenthesised factors,
+        if any: a number multiplies q, zeta^k and x_i^k add to an exponent,
+        and only a parenthesised factor is multiplied as a polynomial.  Each
+        factor after the first is checked as the MPoly product would be:
+        its total degree, which a zero factor makes -1, and its terms, at
+        the factor; its coefficient bits once the factors' bits add up past
+        the bound, measured on the product itself.
+        """
+        n = self.conductor
+        exps = [0] * self.nvars
+        zk = 0
+        part = None
+        degree = bits = 0
+        first = True
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                pos = self.peek()[2]
-                rhs, rhs_bits = self.factor()
-                if acc.total_degree() + rhs.total_degree() > MAX_DEGREE:
+            pos = self.peek()[2]
+            kind, value, fdeg, fbits = self.factor()
+            if not first:
+                if degree + fdeg > MAX_DEGREE:
                     raise ExprSyntaxError(f"total degree above {MAX_DEGREE}", pos)
-                if len(acc.terms) * len(rhs.terms) > MAX_TERMS:
+                terms = 0 if degree < 0 else 1 if part is None else len(part.terms)
+                fterms = 0 if fdeg < 0 else len(value.terms) if kind == _PART else 1
+                if terms * fterms > MAX_TERMS:
                     raise ExprSyntaxError(f"product of more than {MAX_TERMS} terms", pos)
-                acc = acc * rhs
-                # a product's bits stay near the sum of its factors' bits:
-                # measure the product only once that sum passes the bound
-                bits += rhs_bits
-                if bits > MAX_COEFF_BITS:
-                    bits = _coeff_bits(acc)
-                    _check_coeff_bits(bits, pos)
-            else:
-                return acc
-
-    def factor(self) -> tuple[MPoly, int]:
-        """The factor, and its coefficient bits as base counts them, times
-        the exponent."""
-        base, bits = self.base()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
+            first = False
+            degree = -1 if degree < 0 or fdeg < 0 else degree + fdeg
+            if kind == _NUMBER:
+                q *= value
+            elif kind == _ZETA:
+                zk += value
+            elif kind == _VAR:
+                exps[value] += fdeg
+            elif degree >= 0:
+                part = value if part is None else part * value
+            # a product's bits stay near the sum of its factors' bits:
+            # measure the product only once that sum passes the bound
+            bits += fbits
+            if bits > MAX_COEFF_BITS:
+                bits = 0
+                if degree >= 0:
+                    c = self._coefficient(q, zk)
+                    bits = c.bit_size() if part is None else max(
+                        (c * v).bit_size() for v in part.terms.values()
+                    )
+                _check_coeff_bits(bits, pos)
+            kind, value, _ = self.peek()
+            if kind != "op" or value != "*":
+                break
             self.next()
-            k, v, pos = self.next()
-            if k != "int":
-                raise ExprSyntaxError("expected integer exponent", pos)
-            exponent = int(v)
-            if exponent > MAX_DEGREE or base.total_degree() * exponent > MAX_DEGREE:
-                raise ExprSyntaxError(f"exponent or total degree above {MAX_DEGREE}", pos)
-            t = max(len(base.terms), 1)
-            if comb(t + exponent - 1, exponent) > MAX_TERMS:
-                raise ExprSyntaxError(f"power of more than {MAX_TERMS} terms", pos)
-            bits *= exponent
-            _check_coeff_bits(bits, pos)
-            return base ** exponent, bits
-        return base, bits
+        if degree < 0:
+            return {}
+        c = self._coefficient(q, zk)
+        if part is None:
+            return {tuple(exps): c}
+        scale = q != 1 or zk % n
+        shift = any(exps)
+        return {
+            tuple(map(add, e, exps)) if shift else e: v * c if scale else v
+            for e, v in part.terms.items()
+        }
 
-    def base(self) -> tuple[MPoly, int]:
-        """The base, and the bits of its coefficients: none for a variable
-        or zeta, whose powers have coefficients of a few bits."""
+    def _coefficient(self, q, zk) -> CycloNum:
+        """q * zeta^zk."""
+        n = self.conductor
+        if zk % n == 0:
+            return CycloNum.from_rational(q, n)
+        z = CycloNum.zeta(n, zk)
+        return z if q == 1 else z * q
+
+    def factor(self) -> tuple[int, object, int, int]:
+        """The factor as (kind, value, degree, bits): its kind and value as
+        base gives them, raised to the exponent, its total degree (-1 if
+        zero), and its coefficient bits as base counts them, times the
+        exponent."""
+        kind, value, degree, bits = self.base()
+        k, v, _ = self.peek()
+        if k != "op" or v != "^":
+            return kind, value, degree, bits
+        self.next()
+        k, v, pos = self.next()
+        if k != "int":
+            raise ExprSyntaxError("expected integer exponent", pos)
+        exponent = int(v)
+        if exponent > MAX_DEGREE or degree * exponent > MAX_DEGREE:
+            raise ExprSyntaxError(f"exponent or total degree above {MAX_DEGREE}", pos)
+        if kind == _PART and comb(max(len(value.terms), 1) + exponent - 1, exponent) > MAX_TERMS:
+            raise ExprSyntaxError(f"power of more than {MAX_TERMS} terms", pos)
+        bits *= exponent
+        _check_coeff_bits(bits, pos)
+        if kind == _ZETA:
+            value *= exponent
+        elif kind != _VAR:
+            value **= exponent
+        return kind, value, degree * exponent if degree >= 0 else -1 if exponent else 0, bits
+
+    def base(self) -> tuple[int, object, int, int]:
+        """The base as (kind, value, degree, bits): bits of its coefficients,
+        none for a variable or zeta, whose powers have coefficients of a few
+        bits."""
         kind, value, pos = self.next()
         if kind == "int":
             num = int(value)
@@ -202,26 +267,26 @@ class _Parser:
                 if int(v2) == 0:
                     raise ExprSyntaxError("zero denominator", pos2)
                 q = Fraction(num, int(v2))
-                return self._const(q), max(q.numerator.bit_length(), q.denominator.bit_length())
-            return self._const(num), num.bit_length()
-        if kind == "name":
-            if value == "zeta":
-                return self._const(CycloNum.zeta(self.conductor)), 0
-            m = re.fullmatch(r"([A-Za-z])(\d+)", value)
-            if m and m.group(1) == self.alphabet:
-                index = int(m.group(2))
-                if not 1 <= index <= self.nvars:
-                    raise UnknownVariable(f"variable {value!r} out of range", pos)
-                return MPoly.variable(index, self.alphabet, self.nvars, self.conductor), 0
+                bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+                return _NUMBER, q, 0 if q else -1, bits
+            return _NUMBER, num, 0 if num else -1, num.bit_length()
+        if kind == "var" and value[0] == self.alphabet:
+            index = int(value[1:])
+            if not 1 <= index <= self.nvars:
+                raise UnknownVariable(f"variable {value!r} out of range", pos)
+            return _VAR, index - 1, 1, 0
+        if kind == "name" and value == "zeta":
+            return _ZETA, 1, 0, 0
+        if kind in ("var", "name"):
             raise UnknownVariable(f"unknown symbol {value!r}", pos)
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
-            inner = self.expr()
+            inner, bits = self.expr()
             self.expect_op(")")
             self.depth -= 1
-            return inner
+            return _PART, inner, inner.total_degree(), bits
         raise ExprSyntaxError(f"unexpected token {value!r}", pos)
 
 

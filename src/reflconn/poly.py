@@ -196,6 +196,10 @@ class MPoly:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:
+            # a monomial: exponents times k, coefficient to the k
+            [(exps, coeff)] = self.terms.items()
+            return self._like({tuple(e * exponent for e in exps): coeff ** exponent})
         result = MPoly.constant(1, self.alphabet, self.nvars, self.conductor)
         base = self
         e = exponent

@@ -223,6 +223,8 @@ def system_from_dict(data: dict) -> ConnectionSystem:
 
     Each entry's reduced denominator must divide the common denominator;
     the common-denominator numerators are reconstructed by exact division.
+    Each distinct denominator string is parsed, and divides the common
+    denominator, once.
     """
     _check_header(data)
     conductor = data["conductor"]
@@ -238,6 +240,7 @@ def system_from_dict(data: dict) -> ConnectionSystem:
     )
     matrices = []
     numerators = []
+    dens = {}  # denominator string -> (den, q / den made monic)
     for mat in data["matrices"]:
         rows = []
         num_rows = []
@@ -246,17 +249,21 @@ def system_from_dict(data: dict) -> ConnectionSystem:
             nr = []
             for entry in row:
                 num = pz(entry["num"])
-                den = pz(entry["den"])
-                if not den:
-                    raise InvalidSpec("entry denominators must be nonzero")
+                den, cofactor = dens.get(entry["den"], (None, None))
+                if den is None:
+                    den = pz(entry["den"])
+                    if not den:
+                        raise InvalidSpec("entry denominators must be nonzero")
                 rf = RatFun(num, den)
                 r.append(rf)
-                try:
-                    cofactor = q.exact_div(rf.den)
-                except NotDivisible:
-                    raise DenominatorMismatch(
-                        "entry denominator does not divide the common denominator"
-                    ) from None
+                if cofactor is None:
+                    try:
+                        cofactor = q.exact_div(rf.den)
+                    except NotDivisible:
+                        raise DenominatorMismatch(
+                            "entry denominator does not divide the common denominator"
+                        ) from None
+                    dens[entry["den"]] = den, cofactor
                 nr.append(rf.num * cofactor)
             rows.append(tuple(r))
             num_rows.append(tuple(nr))

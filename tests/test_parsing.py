@@ -2,13 +2,15 @@
 
 import time
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflconn.cyclo import CycloNum
+from reflconn.cyclo import CycloNum, euler_phi
 from reflconn.errors import ExprSyntaxError, ReflconnError, UnknownVariable
 from reflconn.parsing import (
     MAX_DEGREE,
@@ -127,6 +129,14 @@ class TestDegreeBound:
         with pytest.raises(ExprSyntaxError):
             px(f"(x1*x2)^{half + 1}")
 
+    def test_a_zero_factor_ends_the_degree_check_from_where_it_stands(self):
+        # the degree of a product is -1 from its zero factor on, so the
+        # bound sees only the factors before it
+        assert px("0*x1^600*x1^600") == 0
+        with pytest.raises(ExprSyntaxError, match="total degree") as exc:
+            px("x1^600*x1^600*0")
+        assert exc.value.position == 7
+
 
 class TestTermBound:
     def test_power_above_bound_names_its_position(self):
@@ -169,6 +179,15 @@ class TestNestingAndDigitBounds:
                 px(text)
             assert exc.value.position == len("x1 + ")
 
+
+    def test_digit_run_bound_counts_every_decimal_digit(self):
+        # int() reads any Unicode decimal digit, and a run of 5,000 of them
+        # once passed the bound and raised ValueError in int()
+        three = "\u0663"  # ARABIC-INDIC DIGIT THREE
+        assert px(f"{three}*x1") == px("3*x1")
+        for text in (three * 5000, "x1 + x" + three * (MAX_DIGITS + 1)):
+            with pytest.raises(ExprSyntaxError, match=f"more than {MAX_DIGITS} digits"):
+                px(text)
 
     def test_coefficient_bound_names_its_position(self):
         big, other = "9" * MAX_DIGITS, "9" * (MAX_DIGITS - 1) + "8"
@@ -215,6 +234,75 @@ class TestFlatSums:
             counts.append(len(calls))
         assert counts[1] < 2.2 * counts[0]
         assert counts[1] < 40 * len(terms)
+
+    def test_sum_of_monomials_makes_no_polynomial_product(self, monkeypatch):
+        # the 5,151 monomials of degree 100 in x1..x3: each term is one
+        # coefficient and one exponent vector, with no MPoly product
+        terms = [f"{i + j + 1}*x1^{100 - i - j}*x2^{i}*x3^{j}"
+                 for i in range(101) for j in range(101 - i)]
+        product = MPoly.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return product(a, b)
+
+        monkeypatch.setattr(MPoly, "__mul__", counting)
+        f = px(" + ".join(terms), nvars=3)
+        assert len(f.terms) == len(terms) == 5151
+        assert f.coefficient((0, 100, 0)) == 101
+        assert not calls
+
+
+@st.composite
+def sparse_polys(draw, alphabet=None, conductor=None, nvars=None, max_terms=6):
+    """A random MPoly of at most max_terms terms, its space drawn where not given."""
+    alphabet = alphabet or draw(st.sampled_from("xz"))
+    conductor = conductor or draw(st.sampled_from((1, 3, 12)))
+    nvars = nvars or draw(st.integers(1, 3))
+    rational = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 6))
+    coeff = st.lists(rational, min_size=euler_phi(conductor), max_size=euler_phi(conductor))
+    exps = st.tuples(*[st.integers(0, 12)] * nvars)
+    terms = draw(st.dictionaries(exps, coeff.map(lambda v: CycloNum(conductor, v)),
+                                 max_size=max_terms))
+    return MPoly(alphabet, nvars, conductor, terms)
+
+
+@st.composite
+def poly_pairs(draw):
+    a = draw(sparse_polys(max_terms=4))
+    b = draw(sparse_polys(a.alphabet, a.conductor, a.nvars, max_terms=4))
+    return a, b
+
+
+def _parse_like(text, p):
+    return parse_expr(text, p.alphabet, p.nvars, p.conductor)
+
+
+class TestParsedArithmetic:
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_polys())
+    def test_print_parse_round_trip(self, p):
+        assert _parse_like(str(p), p) == p
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_pairs(), st.integers(0, 4))
+    def test_products_and_powers_of_parts(self, pair, k):
+        a, b = pair
+        one = MPoly.constant(1, a.alphabet, a.nvars, a.conductor)
+        assert _parse_like(f"({a})*({b})", a) == a * b
+        assert _parse_like(f"({a})^{k}", a) == reduce(mul, [a] * k, one)
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_pairs())
+    def test_factors_around_parts(self, pair):
+        # numbers, zeta and variables between parenthesised parts
+        a, b = pair
+        v = a.alphabet + "1"
+        c = CycloNum.zeta(a.conductor, 5) * Fraction(-6, 7)
+        x = MPoly.variable(1, a.alphabet, a.nvars, a.conductor)
+        expected = a * b * x * x * x * c
+        assert _parse_like(f"-2*{v}^2*({a})*zeta^5*3/7*({b})*{v}", a) == expected
 
 
 FUZZ_TOKENS = ["x1", "x2", "zeta", "(", ")", "+", "-", "*", "/", "^", " "]

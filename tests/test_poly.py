@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from reflconn.cyclo import CycloNum
+from reflconn.cyclo import CycloNum, euler_phi
 from reflconn.errors import (
     ConductorMismatch,
     NonHomogeneousInput,
@@ -78,6 +78,45 @@ class TestBasics:
                     terms[exps] = c
             f = MPoly("x", 2, 12, terms)
             assert px(str(f)) == f
+
+
+class TestMonomialPower:
+    def test_matches_repeated_multiplication_with_no_product(self, monkeypatch):
+        # rational, zeta-power and general coefficients over three fields
+        rng = random.Random(12)
+        cases = []
+        for conductor in (1, 3, 12):
+            d = euler_phi(conductor)
+            for kind in ("rational", "zeta", "general"):
+                for _ in range(5):
+                    q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 9))
+                    if kind == "rational":
+                        c = CycloNum.from_rational(q, conductor)
+                    elif kind == "zeta":
+                        c = CycloNum.zeta(conductor, rng.randrange(1, 24)) * q
+                    else:
+                        c = CycloNum(conductor, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                                 for _ in range(d)])
+                    if not c:
+                        continue
+                    exps = tuple(rng.randrange(4) for _ in range(3))
+                    cases.append((MPoly("x", 3, conductor, {exps: c}), rng.randrange(9)))
+        expected = []
+        for p, k in cases:
+            acc = MPoly.constant(1, "x", 3, p.conductor)
+            for _ in range(k):
+                acc = acc * p
+            expected.append(acc)
+        product = MPoly.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return product(a, b)
+
+        monkeypatch.setattr(MPoly, "__mul__", counting)
+        assert [p ** k for p, k in cases] == expected
+        assert not calls
 
 
 class TestNoZeroTerms:
