@@ -11,7 +11,7 @@ import json
 import sys
 
 from .connection import connection_in_z, jacobian, scaled_connection
-from .errors import ReflconnError
+from .errors import NonInvariantEntry, ReflconnError
 from .groups import DEFAULT_CAP, group_from_spec, load_group_spec
 from .invariants import (
     catalog_names,
@@ -64,7 +64,12 @@ def cmd_compute(args) -> int:
     name, group, catalog_inv = _resolve_group(args)
     phi = _pick_invariants(args, group, catalog_inv)
     jd = jacobian(phi, det_char_order=group.det_char_order)
-    sc = scaled_connection(jd, group=group)
+    try:
+        sc = scaled_connection(jd, group=group)
+    except NonInvariantEntry as exc:
+        # the invariants given fail a group check: a failed verification
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     cs = connection_in_z(sc, phi)
     report = full_report(group, phi, jd, sc, cs)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 from .errors import ConductorMismatch, InvalidSpec
 
@@ -92,6 +93,16 @@ def _reduce(n: int, nums) -> list[int]:
     return _monic_divmod(nums, cyclotomic_coeffs(n))[1]
 
 
+def _fold(n: int, prod, d: int) -> list[int]:
+    """Reduced integer numerators of sum(prod[k] * zeta^k), k < 2*d - 1."""
+    out = prod[:d]
+    for c, row in zip(prod[d:], _power_table(n)):
+        if c:
+            for j, t in row:
+                out[j] += c * t
+    return out
+
+
 def _mul_nums(n: int, a, b) -> list[int]:
     """Reduced integer numerators of the product of two reduced vectors."""
     d = len(a)
@@ -102,12 +113,7 @@ def _mul_nums(n: int, a, b) -> list[int]:
         if ai:
             for k, bj in enumerate(b, i):
                 prod[k] += ai * bj
-    out = prod[:d]
-    for c, row in zip(prod[d:], _power_table(n)):
-        if c:
-            for j, t in row:
-                out[j] += c * t
-    return out
+    return _fold(n, prod, d)
 
 
 def _conjugate(n: int, nums, k: int) -> list[int]:
@@ -128,6 +134,70 @@ def _orbit_product(n: int, y, g: int, m: int) -> list[int]:
             prod = _mul_nums(n, prod, _conjugate(n, y, pow(g, length, n)))
             length += 1
     return prod
+
+
+def _over_lcm(coeffs) -> tuple[list, int]:
+    """The terms of a term dict as (exponents, integer numerators) over the
+    lcm of its denominators, and that lcm."""
+    den = 1
+    # pairwise: lcm(*generator) here made the peak RSS of derive_invariants
+    # grow pass after pass on CPython 3.11
+    for c in coeffs.values():
+        den = lcm(den, c._den)
+    return [
+        (e, c._num if c._den == den else [x * (den // c._den) for x in c._num])
+        for e, c in coeffs.items()
+    ], den
+
+
+def product_terms(n: int, left: dict, right: dict) -> dict:
+    """The term dict of the product of two polynomials over Q(zeta_n).
+
+    left and right map exponent tuples to nonzero CycloNums.  A one-term
+    factor multiplies each term of the other.  Otherwise each side is put
+    over the lcm of its denominators, every pair of terms adds its
+    unreduced integer convolution to the accumulator of its output
+    monomial, and each accumulator is reduced mod Phi_n and made canonical
+    once.  Reduction is linear and the canonical form unique, so every
+    coefficient is the one that summing the CycloNum products of the pairs
+    gives.  Zero sums are dropped.
+    """
+    if len(left) == 1 or len(right) == 1:
+        return {
+            tuple(map(add, e1, e2)): c1 * c2
+            for e1, c1 in left.items()
+            for e2, c2 in right.items()
+        }
+    if not left or not right:
+        return {}
+    ls, dl = _over_lcm(left)
+    rs, dr = _over_lcm(right)
+    den = dl * dr
+    d = len(ls[0][1])
+    sums: dict = {}
+    if d == 1:
+        for e1, (a,) in ls:
+            for e2, (b,) in rs:
+                exps = tuple(map(add, e1, e2))
+                sums[exps] = sums.get(exps, 0) + a * b
+        return {e: _canonical(n, (s,), den) for e, s in sums.items() if s}
+    width = 2 * d - 1
+    for e1, u in ls:
+        nonzero = [(i, a) for i, a in enumerate(u) if a]
+        for e2, v in rs:
+            exps = tuple(map(add, e1, e2))
+            acc = sums.get(exps)
+            if acc is None:
+                acc = sums[exps] = [0] * width
+            for i, a in nonzero:
+                for k, b in enumerate(v, i):
+                    acc[k] += a * b
+    out = {}
+    for exps, acc in sums.items():
+        nums = _fold(n, acc, d)
+        if any(nums):
+            out[exps] = _canonical(n, nums, den)
+    return out
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:

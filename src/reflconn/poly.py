@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycloNum, cyclotomic_coeffs, signed_sum
+from .cyclo import CycloNum, cyclotomic_coeffs, product_terms, signed_sum
 from .errors import ConductorMismatch, NotDivisible, NonHomogeneousInput
 from .linalg import mat_inverse
 
@@ -178,18 +178,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_compat(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                cur = terms.get(exps)
-                s = prod if cur is None else cur + prod
-                if s:
-                    terms[exps] = s
-                elif cur is not None:
-                    del terms[exps]
-        return self._like(terms)
+        return self._like(product_terms(self.conductor, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -456,14 +445,23 @@ def top_reduce(p: MPoly, basis: dict) -> MPoly:
     basis maps distinct leading monomials to polynomials with those leading
     monomials, so they are independent, and the result is zero iff p lies
     in their span; otherwise its leading monomial is not a key of basis.
+    Each step subtracts c*q in place from one copy of p's terms.
     """
-    while p:
-        lead, c = p.leading_term()
+    terms = dict(p.terms)
+    while terms:
+        lead = max(terms, key=grlex_key)
         q = basis.get(lead)
         if q is None:
             break
-        p = p - q * (c / q.terms[lead])
-    return p
+        c = terms[lead] / q.terms[lead]
+        for exps, qc in q.terms.items():
+            cur = terms.get(exps)
+            s = -(qc * c) if cur is None else cur - qc * c
+            if s:
+                terms[exps] = s
+            else:
+                del terms[exps]
+    return p._like(terms)
 
 
 def require_homogeneous(f: MPoly) -> int:

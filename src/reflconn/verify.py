@@ -136,8 +136,9 @@ def check_integrability(cs: ConnectionSystem) -> VerificationReport:
     """The cleared-denominator commuting identity for each pair of matrices.
 
     With A_l = P_l / q the identity d_i(A_j) - d_j(A_i) = A_i A_j - A_j A_i
-    clears to  q*d_i(P_j) - P_j*d_i(q) - q*d_j(P_i) + P_i*d_j(q)
-             = P_i P_j - P_j P_i,  checked exactly, no division.
+    clears to  q*(d_i(P_j) - d_j(P_i)) - P_j*d_i(q) + P_i*d_j(q)
+             = P_i P_j - P_j P_i,  checked exactly, no division, with one
+    product by q per entry.
     """
     report = VerificationReport()
     q = cs.denominator
@@ -152,14 +153,8 @@ def check_integrability(cs: ConnectionSystem) -> VerificationReport:
             t0 = time.perf_counter()
             pi, pj = cs.numerators[i], cs.numerators[j]
             lhs = mat_sub(
-                mat_sub(
-                    _mat_scale(_mat_partial(pj, i + 1), q),
-                    _mat_scale(pj, q.partial(i + 1)),
-                ),
-                mat_sub(
-                    _mat_scale(_mat_partial(pi, j + 1), q),
-                    _mat_scale(pi, q.partial(j + 1)),
-                ),
+                _mat_scale(mat_sub(_mat_partial(pj, i + 1), _mat_partial(pi, j + 1)), q),
+                mat_sub(_mat_scale(pj, q.partial(i + 1)), _mat_scale(pi, q.partial(j + 1))),
             )
             rhs = mat_sub(mat_mul(pi, pj), mat_mul(pj, pi))
             where = _first_mismatch(lhs, rhs)

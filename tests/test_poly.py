@@ -3,8 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflconn.cyclo import CycloNum, euler_phi
 from reflconn.errors import (
@@ -116,6 +119,63 @@ class TestMonomialPower:
 
         monkeypatch.setattr(MPoly, "__mul__", counting)
         assert [p ** k for p, k in cases] == expected
+        assert not calls
+
+
+def _pairwise_product(a, b):
+    """The terms of a * b as the sum over term pairs of CycloNum products."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, CycloNum.zero(a.conductor)) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials in x1, x2 over one field, with up to 6 terms of degree
+    at most 2 in each variable, so that products collide and cancel; each
+    numerator has its own denominator."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8, 12, 24)))
+    d = euler_phi(n)
+    coeff = st.builds(
+        lambda nums, dens: CycloNum(n, [Fraction(x, q) for x, q in zip(nums, dens)]),
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+        st.lists(st.sampled_from((1, 2, 3, 4, 6, 9, 10)), min_size=d, max_size=d),
+    )
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    polys = st.dictionaries(exps, coeff, max_size=6).map(lambda t: MPoly("x", 2, n, t))
+    return draw(polys), draw(polys)
+
+
+class TestProductKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(poly_pairs())
+    def test_matches_pairwise_cyclonum_products(self, pair):
+        a, b = pair
+        # (a + b)(a - b) cancels the cross terms of a^2 - b^2
+        for x, y in ((a, b), (b, a), (a, a), (a + b, a - b)):
+            terms = (x * y).terms
+            assert terms == _pairwise_product(x, y)
+            for c in terms.values():
+                assert c and c._den > 0 and gcd(*c._num, c._den) == 1
+
+    def test_dense_product_makes_no_scalar_product(self, monkeypatch):
+        a = px("(x1 + zeta*x2 + 1/3)^3")
+        b = px("(1/2*x1 - zeta^5*x2 + 2/7)^3")
+        assert len(a.terms) == len(b.terms) == 10
+        expected = _pairwise_product(a, b)
+        product = CycloNum.__mul__
+        calls = []
+
+        def counting(x, y):
+            calls.append(None)
+            return product(x, y)
+
+        monkeypatch.setattr(CycloNum, "__mul__", counting)
+        monkeypatch.setattr(CycloNum, "__rmul__", counting)
+        assert (a * b).terms == expected
         assert not calls
 
 

@@ -233,6 +233,27 @@ class TestCli:
         assert "degree product 16, |G| = 8" in err
         assert err.count("[FAIL]") == 1
 
+    def test_non_invariant_spec_invariants_exit_3(self, tmp_path, capsys):
+        # x1^2 and x2^2 are independent but not fixed by the swap x1 <-> x2,
+        # so the Jacobian equivariance check of the spec's invariants fails
+        spec = {
+            "name": "B2-not-invariant",
+            "conductor": 12,
+            "rank": 2,
+            "generators": [
+                [["0", "1"], ["1", "0"]],
+                [["-1", "0"], ["0", "1"]],
+            ],
+            "invariants": ["x1^2", "x2^2"],
+        }
+        path = tmp_path / "b2.json"
+        path.write_text(json.dumps(spec))
+        assert main(["compute", "--spec-file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("check jacobian_equivariance[gen 1] failed, "
+                "witness: generator 1, entry (1,1)") in captured.err
+
     def test_cap_flag(self, capsys):
         assert main(["compute", "--group", "G(2,1,2)", "--cap", "4"]) == 2
         assert "CapExceeded" in capsys.readouterr().err
