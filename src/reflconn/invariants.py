@@ -9,8 +9,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, reciprocal_series_sum
 from .errors import (
     DegreeSearchFailed,
     IndependenceSearchFailed,
@@ -47,32 +48,18 @@ def is_invariant(f: MPoly, group: GroupData) -> bool:
 
 # -- Molien series ----------------------------------------------------------
 
-def _char_poly_one_minus_tm(m, conductor):
-    """Coefficients (in t) of det(I - t*M), by Laplace expansion over MPoly."""
+def _char_poly_one_minus_tm(m):
+    """Coefficients (in t) of det(I - tM): the coefficient of t^k is (-1)^k
+    times the sum of the principal k x k minors of M."""
     n = len(m)
-    t = MPoly.variable(1, "x", 1, conductor)
-    i_minus_tm = [
-        [MPoly.constant(int(i == j), "x", 1, conductor) - t * m[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    d = mat_det(i_minus_tm)
-    return [d.coefficient((k,)) for k in range(n + 1)]
-
-
-def _series_inverse(poly, precision, conductor):
-    """Inverse of a power series with unit constant term, truncated."""
-    c0 = poly[0]
-    inv0 = c0.inverse()
-    out = [inv0]
-    zero = CycloNum.zero(conductor)
-    for k in range(1, precision):
-        acc = zero
-        for j in range(1, min(k, len(poly) - 1) + 1):
-            cj = poly[j] if j < len(poly) else zero
-            if cj:
-                acc = acc + cj * out[k - j]
-        out.append(-inv0 * acc)
-    return out
+    coeffs = [CycloNum.one(m[0][0].conductor)]
+    for k in range(1, n + 1):
+        minors = sum(
+            mat_det([[m[i][j] for j in rows] for i in rows])
+            for rows in combinations(range(n), k)
+        )
+        coeffs.append(-minors if k % 2 else minors)
+    return tuple(coeffs)
 
 
 def molien_series(group: GroupData, precision: int):
@@ -80,16 +67,21 @@ def molien_series(group: GroupData, precision: int):
 
     det(I - tM) depends only on the characteristic polynomial of M, so each
     distinct polynomial is inverted once and weighted by its multiplicity.
+    M has finite order, so its eigenvalues are roots of unity and the
+    coefficients of det(I - tM), elementary symmetric functions of them,
+    are algebraic integers: over the integral basis 1, zeta, ...,
+    zeta^(phi(N)-1) they have denominator 1, and each inverse is an integer
+    recurrence (cyclo.reciprocal_series_sum).  A coefficient that is not
+    integral cannot come from a finite group and raises DegreeSearchFailed.
     """
-    counts = Counter(
-        tuple(_char_poly_one_minus_tm(m, group.conductor)) for m in group.elements
-    )
-    total = [CycloNum.zero(group.conductor)] * precision
-    for cp, count in counts.items():
-        inv = _series_inverse(cp, precision, group.conductor)
-        weight = Fraction(count, group.order)
-        total = [a + b * weight for a, b in zip(total, inv)]
-    return total
+    counts = Counter(_char_poly_one_minus_tm(m) for m in group.elements)
+    try:
+        return reciprocal_series_sum(group.conductor, counts, precision, group.order)
+    except ValueError:
+        raise DegreeSearchFailed(
+            "det(I - tM) has a coefficient that is not an algebraic integer, "
+            "which no element of a finite group gives"
+        ) from None
 
 
 def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]:

@@ -2,8 +2,8 @@
 
 Determinant and adjugate are generic Laplace expansions that work for any
 ring whose elements support +, -, * (CycloNum scalars as well as MPoly
-entries): they serve the Jacobian, and the one-variable t-polynomials
-det(I - tM) of the Molien series.  mat_inverse serves the group action
+entries): they serve the Jacobian over MPoly and the scalar principal
+minors of the Molien series.  mat_inverse serves the group action
 f(x) -> f(x * M^{-T}).  Row reduction and solving are restricted to
 CycloNum, where every nonzero pivot is invertible.
 """
@@ -88,12 +88,18 @@ def adjugate(matrix):
 
 
 def mat_inverse(matrix):
-    """Inverse of a CycloNum matrix via adjugate/determinant."""
-    d = det(matrix)
+    """Inverse of a CycloNum matrix via adjugate/determinant.
+
+    det is read off the adjugate's first column, (M * adj)[0][0], so one
+    Laplace expansion serves both.
+    """
+    adj = adjugate(matrix)
+    d = matrix[0][0] * adj[0][0]
+    for j in range(1, len(matrix)):
+        d = d + matrix[0][j] * adj[j][0]
     if not d:
         raise SingularMatrix("matrix is not invertible")
     d_inv = d.inverse()
-    adj = adjugate(matrix)
     return tuple(tuple(e * d_inv for e in row) for row in adj)
 
 

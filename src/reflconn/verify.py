@@ -223,6 +223,9 @@ def full_report(
     invariant, homogeneous phi with det J != 0, which jacobian requires,
     that holds iff the degrees multiply to |G| (Kane, Reflection Groups and
     Invariant Theory, section 18): the check degree_product_equals_order.
+    The check reflection_count ties the degrees to the group and to J once
+    more: sum(d_i - 1) is the number of reflections of G (same reference)
+    and the degree of det J.
     """
     if not sc.checks:
         raise ValueError("sc carries no group checks; build it with scaled_connection")
@@ -235,4 +238,11 @@ def full_report(
     prod = math.prod(phi.degrees)
     witness = "" if prod == group.order else f"degree product {prod}, |G| = {group.order}"
     report.add("degree_product_equals_order", not witness, witness)
+    degree_sum = sum(d - 1 for d in phi.degrees)
+    reflections, det_degree = len(group.reflection_indices), jd.det.total_degree()
+    witness = "" if reflections == det_degree == degree_sum else (
+        f"sum of d_i - 1 = {degree_sum}, {reflections} reflections, "
+        f"deg det J = {det_degree}"
+    )
+    report.add("reflection_count", not witness, witness)
     return report

@@ -23,6 +23,7 @@ fuzz_text = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=20).map("".join)
 # reaches the closure, the invariants and the checks behind the parser.
 SCALARS = ["0", "1", "-1", "zeta", "-zeta", "zeta^2", "zeta^3", "1/2", "-1/2*zeta^2"]
 POLYS = ["x1^2", "x1^2 + x2^2", "x1^2*x2^2", "x1*x2", "x1^4 + x2^4", "x1", "x2^3"]
+POLYS_RANK3 = ["x1^2 + x2^2 + x3^2", "x1^4 + x2^4 + x3^4", "x1*x2*x3", "x1 + x2 + x3", "x3^6"]
 REFLECTIONS = {
     1: [[["-1"]], [["zeta"]], [["zeta^2"]]],
     2: [
@@ -30,6 +31,12 @@ REFLECTIONS = {
         [["-1", "0"], ["0", "1"]],
         [["zeta", "0"], ["0", "1"]],
         [["0", "zeta^2"], ["zeta", "0"]],
+    ],
+    3: [
+        [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+        [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        [["zeta", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
     ],
 }
 
@@ -50,7 +57,7 @@ def _run(argv, files):
 
 @st.composite
 def specs(draw):
-    rank = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, 3))
     # mostly reflections and valid entries: a random matrix seldom closes
     entry = st.one_of(*[st.sampled_from(SCALARS)] * 3, fuzz_text)
     matrix = st.one_of(
@@ -62,10 +69,12 @@ def specs(draw):
         "conductor": draw(st.integers(1, 12)),
         "rank": rank,
         "cap": draw(st.integers(1, 64)),
-        "generators": draw(st.lists(matrix, min_size=1, max_size=2)),
+        # three generators reach G(2,1,3), which closes within the cap
+        "generators": draw(st.lists(matrix, min_size=1, max_size=max(2, rank))),
     }
     if draw(st.booleans()):
-        poly = st.one_of(*[st.sampled_from(POLYS)] * 2, fuzz_text)
+        polys = POLYS + POLYS_RANK3 if rank == 3 else POLYS
+        poly = st.one_of(*[st.sampled_from(polys)] * 2, fuzz_text)
         spec["invariants"] = draw(st.lists(poly, min_size=rank, max_size=rank))
     return spec
 

@@ -1,10 +1,13 @@
 """Reynolds operator, Molien degrees, fundamental invariants, the catalog."""
 
+from fractions import Fraction
+
 import pytest
 
 from reflconn import invariants
 from reflconn.cyclo import CycloNum
 from reflconn.errors import DegreeSearchFailed, UnknownGroup
+from reflconn.groups import GroupData
 from reflconn.invariants import (
     catalog_lookup,
     catalog_names,
@@ -102,6 +105,47 @@ class TestMolien:
                 inv.append(-(c1 * inv[k - 1] + c2 * inv[k - 2]))
             total = [x + y for x, y in zip(total, inv)]
         assert molien_series(group, precision) == [x / group.order for x in total]
+
+
+    @pytest.mark.parametrize("name,degrees", [
+        ("G(2,1,3)", (2, 4, 6)),
+        ("G(3,3,3)", (3, 3, 6)),
+    ])
+    def test_series_is_the_degree_product(self, name, degrees):
+        # prod 1/(1 - t^d) counts the monomials in the invariants: at t^k,
+        # the exponent vectors of weighted degree k
+        group = rank3_group(name)
+        precision = 25
+        expected = [len(weighted_exponents(k, degrees)) for k in range(precision)]
+        assert molien_series(group, precision) == expected
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,3,3)"])
+    def test_principal_minors_match_laplace_over_mpoly(self, name):
+        group = catalog(name)[0] if name == "G4" else rank3_group(name)
+        n, conductor = group.rank, group.conductor
+        t = MPoly.variable(1, "x", 1, conductor)  # t is x1
+        for m in group.elements:
+            i_minus_tm = [
+                [MPoly.constant(int(i == j), "x", 1, conductor) - t * m[i][j]
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            d = mat_det(i_minus_tm)
+            assert invariants._char_poly_one_minus_tm(m) == tuple(
+                d.coefficient((k,)) for k in range(n + 1)
+            )
+
+    def test_non_integral_element_is_rejected(self):
+        # diag(1/2, 1) has det(I - tM) = 1 - 3/2 t + 1/2 t^2: no element of
+        # a finite group gives a coefficient that is not an algebraic integer
+        one, zero, half = (CycloNum.from_rational(q, 1) for q in (1, 0, Fraction(1, 2)))
+        elements = (((one, zero), (zero, one)), ((half, zero), (zero, one)))
+        group = GroupData(
+            rank=2, conductor=1, elements=elements, generator_indices=(1,),
+            element_index={m: k for k, m in enumerate(elements)},
+        )
+        with pytest.raises(DegreeSearchFailed, match="not an algebraic integer"):
+            molien_series(group, 5)
 
 
 class TestFundamentalInvariants:

@@ -231,7 +231,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[FAIL] degree_product_equals_order" in err
         assert "degree product 16, |G| = 8" in err
-        assert err.count("[FAIL]") == 1
+        # and sum(d_i - 1) = 6 = deg det J, but G(2,1,2) has 4 reflections
+        assert "[FAIL] reflection_count" in err
+        assert "sum of d_i - 1 = 6, 4 reflections, deg det J = 6" in err
+        assert err.count("[FAIL]") == 2
 
     def test_non_invariant_spec_invariants_exit_3(self, tmp_path, capsys):
         # x1^2 and x2^2 are independent but not fixed by the swap x1 <-> x2,

@@ -159,6 +159,7 @@ G4_REPORT_NAMES = [
     "cross_validation[A_2]",
     "invariants_fixed_by_generators",
     "degree_product_equals_order",
+    "reflection_count",
 ]
 
 
@@ -169,6 +170,16 @@ class TestReportOrder:
         assert [c.name for c in report.checks] == G4_REPORT_NAMES
         assert report.checks[:5] == list(sc.checks)
         assert report.all_passed
+
+    def test_reflection_count_flags_a_missing_reflection(self):
+        group, inv, jd, sc, cs = pipeline("G4")
+        short = dataclasses.replace(
+            group, reflection_indices=group.reflection_indices[:-1]
+        )
+        report = full_report(short, inv, jd, sc, cs)
+        assert [(c.name, c.witness) for c in report.failures()] == [
+            ("reflection_count", "sum of d_i - 1 = 8, 7 reflections, deg det J = 8"),
+        ]
 
     def test_full_report_refuses_scaled_connection_without_checks(self):
         group, inv, jd, sc, cs = pipeline("G4")
