@@ -91,9 +91,7 @@ def delta_apply(ell: int, f: MPoly, jd: JacobianData) -> RatFun:
     n = len(jd.jac)
     if not 1 <= ell <= n:
         raise ValueError(f"derivation index {ell} out of range 1..{n}")
-    num = MPoly.zero(f.alphabet, f.nvars, f.conductor)
-    for i in range(n):
-        num = num + jd.adj[i][ell - 1] * f.partial(i + 1)
+    num = MPoly.sum_of_products([(1, jd.adj[i][ell - 1], f.partial(i + 1)) for i in range(n)])
     return RatFun(num, jd.det)
 
 
@@ -127,12 +125,13 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     numerators = []
     for ell in range(n):
         # D^{m-2} * (sum_i adj_{i,ell} * dJ/dx_i) * adj
-        acc = [[jd.adj[0][ell] * e for e in row] for row in d_partials[0]]
-        for i in range(1, n):
-            acc = [
-                [a + jd.adj[i][ell] * e for a, e in zip(ra, row)]
-                for ra, row in zip(acc, d_partials[i])
+        acc = [
+            [
+                MPoly.sum_of_products([(1, jd.adj[i][ell], d_partials[i][r][c]) for i in range(n)])
+                for c in range(n)
             ]
+            for r in range(n)
+        ]
         p = tuple(tuple(e * scale for e in row) for row in mat_mul(acc, jd.adj))
         for r in range(n):
             for c in range(n):

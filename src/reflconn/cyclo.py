@@ -8,6 +8,11 @@ value is hashable.  Phi_N is monic with integer coefficients, so a product
 of two reduced numerator vectors reduces with an integer table of powers
 of zeta, and an inverse is an integer product of Galois conjugates over the
 integer field norm: no operation computes with Fractions.
+
+sum_of_products is the one polynomial kernel: it evaluates a sum of
+weighted products of polynomials, given as term dicts, as one integer
+accumulation per output monomial, so a polynomial product, a matrix entry
+or a whole identity reduces and normalises each coefficient once.
 """
 
 from __future__ import annotations
@@ -150,48 +155,61 @@ def _over_lcm(coeffs) -> tuple[list, int]:
     ], den
 
 
-def product_terms(n: int, left: dict, right: dict) -> dict:
-    """The term dict of the product of two polynomials over Q(zeta_n).
+def sum_of_products(n: int, triples) -> dict:
+    """The term dict of sum(k * left * right) over triples (k, left, right).
 
-    left and right map exponent tuples to nonzero CycloNums.  A one-term
-    factor multiplies each term of the other.  Otherwise each side is put
-    over the lcm of its denominators, every pair of terms adds its
-    unreduced integer convolution to the accumulator of its output
-    monomial, and each accumulator is reduced mod Phi_n and made canonical
-    once.  Reduction is linear and the canonical form unique, so every
-    coefficient is the one that summing the CycloNum products of the pairs
-    gives.  Zero sums are dropped.
+    k is a small int; left and right map exponent tuples to nonzero
+    CycloNums, and triples may be any iterable, read once.  Each factor is
+    put over the lcm of its denominators, and each triple is scaled to the
+    running common denominator, the lcm of the triples' denominators so
+    far; when that grows, the accumulators are scaled up to it.  Every
+    pair of terms adds its unreduced integer convolution to the
+    accumulator of its output monomial, and each accumulator is reduced
+    mod Phi_n and made canonical once, at the end.  Reduction is linear and
+    the canonical form unique, so every coefficient is the one that
+    summing the CycloNum products of the pairs gives.  Zero sums are
+    dropped.
     """
-    if len(left) == 1 or len(right) == 1:
-        return {
-            tuple(map(add, e1, e2)): c1 * c2
-            for e1, c1 in left.items()
-            for e2, c2 in right.items()
-        }
-    if not left or not right:
-        return {}
-    ls, dl = _over_lcm(left)
-    rs, dr = _over_lcm(right)
-    den = dl * dr
-    d = len(ls[0][1])
-    sums: dict = {}
-    if d == 1:
-        for e1, (a,) in ls:
-            for e2, (b,) in rs:
-                exps = tuple(map(add, e1, e2))
-                sums[exps] = sums.get(exps, 0) + a * b
-        return {e: _canonical(n, (s,), den) for e, s in sums.items() if s}
+    d = len(cyclotomic_coeffs(n)) - 1
     width = 2 * d - 1
-    for e1, u in ls:
-        nonzero = [(i, a) for i, a in enumerate(u) if a]
-        for e2, v in rs:
-            exps = tuple(map(add, e1, e2))
-            acc = sums.get(exps)
-            if acc is None:
-                acc = sums[exps] = [0] * width
-            for i, a in nonzero:
-                for k, b in enumerate(v, i):
-                    acc[k] += a * b
+    sums: dict = {}
+    den = 1
+    for k, left, right in triples:
+        if not (k and left and right):
+            continue
+        ls, dl = _over_lcm(left)
+        rs, dr = _over_lcm(right)
+        dt = dl * dr
+        if den % dt:
+            grow = lcm(den, dt) // den
+            den *= grow
+            if d == 1:
+                for exps in sums:
+                    sums[exps] *= grow
+            else:
+                for acc in sums.values():
+                    for j in range(width):
+                        acc[j] *= grow
+        s = k * (den // dt)
+        if d == 1:
+            for e1, (a,) in ls:
+                a *= s
+                for e2, (b,) in rs:
+                    exps = tuple(map(add, e1, e2))
+                    sums[exps] = sums.get(exps, 0) + a * b
+            continue
+        for e1, u in ls:
+            nonzero = [(i, a * s) for i, a in enumerate(u) if a]
+            for e2, v in rs:
+                exps = tuple(map(add, e1, e2))
+                acc = sums.get(exps)
+                if acc is None:
+                    acc = sums[exps] = [0] * width
+                for i, a in nonzero:
+                    for j, b in enumerate(v, i):
+                        acc[j] += a * b
+    if d == 1:
+        return {e: _canonical(n, (t,), den) for e, t in sums.items() if t}
     out = {}
     for exps, acc in sums.items():
         nums = _fold(n, acc, d)

@@ -34,11 +34,10 @@ class InvariantTuple:
 
 
 def reynolds(f: MPoly, group: GroupData) -> MPoly:
-    """Average f over the group action; the result is invariant."""
-    acc = MPoly.zero(f.alphabet, f.nvars, f.conductor)
-    for m in group.elements:
-        acc = acc + f.substitute_linear(m)
-    return acc * Fraction(1, group.order)
+    """Average f over the group action, in one accumulation; the result is
+    invariant."""
+    weight = CycloNum.from_rational(Fraction(1, group.order), f.conductor)
+    return MPoly.sum_of_products((1, weight, f.substitute_linear(m)) for m in group.elements)
 
 
 def is_invariant(f: MPoly, group: GroupData) -> bool:

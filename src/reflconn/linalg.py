@@ -3,9 +3,13 @@
 Determinant and adjugate are generic Laplace expansions that work for any
 ring whose elements support +, -, * (CycloNum scalars as well as MPoly
 entries): they serve the Jacobian over MPoly and the scalar principal
-minors of the Molien series.  mat_inverse serves the group action
-f(x) -> f(x * M^{-T}).  Row reduction and solving are restricted to
-CycloNum, where every nonzero pivot is invertible.
+minors of the Molien series.  When every entry of a matrix product or
+determinant is a polynomial, each entry of the product and each Laplace
+sum is one fused accumulation (MPoly.sum_of_products); scalar and mixed
+polynomial-times-scalar entries take the running sum of products.
+mat_inverse serves the group action f(x) -> f(x * M^{-T}).  Row reduction
+and solving are restricted to CycloNum, where every nonzero pivot is
+invertible.
 """
 
 from __future__ import annotations
@@ -14,10 +18,30 @@ from .cyclo import CycloNum
 from .errors import SingularMatrix
 
 
+def _fused(*matrices):
+    """The entries' class when it sums products in one accumulation and
+    every entry of the matrices is of that class, else None."""
+    kind = type(matrices[0][0][0])
+    if kind is not CycloNum and hasattr(kind, "sum_of_products") and all(
+        type(e) is kind for m in matrices for row in m for e in row
+    ):
+        return kind
+    return None
+
+
 def mat_mul(a, b):
     n = len(a)
     k = len(b)
     m = len(b[0])
+    kind = _fused(a, b)
+    if kind is not None:
+        return tuple(
+            tuple(
+                kind.sum_of_products([(1, a[i][t], b[t][j]) for t in range(k)])
+                for j in range(m)
+            )
+            for i in range(n)
+        )
     out = []
     for i in range(n):
         row = []
@@ -57,6 +81,16 @@ def det(matrix):
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
+    kind = _fused(matrix)
+    if kind is not None:
+        if n == 2:
+            return kind.sum_of_products(
+                [(1, matrix[0][0], matrix[1][1]), (-1, matrix[0][1], matrix[1][0])]
+            )
+        return kind.sum_of_products([
+            (-1 if j % 2 else 1, matrix[0][j], det(_minor(matrix, 0, j)))
+            for j in range(n)
+        ])
     if n == 2:
         return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     acc = None

@@ -9,8 +9,10 @@ division.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
+from operator import add
 
-from .cyclo import CycloNum, cyclotomic_coeffs, product_terms, signed_sum
+from .cyclo import CycloNum, cyclotomic_coeffs, signed_sum, sum_of_products
 from .errors import ConductorMismatch, NotDivisible, NonHomogeneousInput
 from .linalg import mat_inverse
 
@@ -178,9 +180,51 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_compat(other)
-        return self._like(product_terms(self.conductor, self.terms, other.terms))
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a one-term factor multiplies each term of the other
+            return self._like({
+                tuple(map(add, e1, e2)): c1 * c2
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            })
+        return self._like(sum_of_products(self.conductor, ((1, self.terms, other.terms),)))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(triples) -> "MPoly":
+        """sum(k * a * b) over a nonempty iterable of triples (k, a, b), as
+        one accumulation (cyclo.sum_of_products) that reads each triple once.
+
+        k is a small int and b a polynomial; a is a polynomial, or a
+        CycloNum taken as a one-term factor.  Every factor must be
+        compatible with the first b, as for a product, and the sum lives in
+        its space.  A lone triple with k = 1 is the product b * a, which
+        takes the one-term path of __mul__.
+        """
+        triples = iter(triples)
+        head = list(islice(triples, 2))
+        if not head:
+            raise ValueError("no products to sum")
+        k, a, model = head[0]
+        if k == 1 and len(head) == 1:
+            return model * a
+        constant = (0,) * model.nvars
+
+        def term_dicts():
+            for k, a, b in chain(head, triples):
+                model._check_compat(b)
+                if isinstance(a, CycloNum):
+                    if a.conductor != model.conductor:
+                        raise ConductorMismatch(
+                            f"conductors differ: {model.conductor} vs {a.conductor}"
+                        )
+                    yield k, {constant: a} if a else {}, b.terms
+                else:
+                    model._check_compat(a)
+                    yield k, a.terms, b.terms
+
+        return model._like(sum_of_products(model.conductor, term_dicts()))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -247,17 +291,17 @@ class MPoly:
         """Substitute args[i] for the i-th variable.
 
         The result lives in the args' variable space; args must be mutually
-        compatible and there must be one per variable.
+        compatible and there must be one per variable.  The terms' images
+        are summed in one accumulation (sum_of_products).
         """
         if len(args) != self.nvars:
             raise ValueError("need one substitution polynomial per variable")
         model = args[0]
-        out = MPoly.zero(model.alphabet, model.nvars, model.conductor)
+        if not self.terms:
+            return MPoly.zero(model.alphabet, model.nvars, model.conductor)
+        one = MPoly.constant(1, model.alphabet, model.nvars, model.conductor)
         # incremental power tables: needed exponents are dense in practice
-        pow_cache: list[list[MPoly]] = [
-            [MPoly.constant(1, model.alphabet, model.nvars, model.conductor)]
-            for _ in args
-        ]
+        pow_cache: list[list[MPoly]] = [[one] for _ in args]
 
         def power(i, e):
             table = pow_cache[i]
@@ -265,13 +309,16 @@ class MPoly:
                 table.append(table[-1] * args[i])
             return table[e]
 
+        # one triple per term: the coefficient times all powers but the
+        # last, by the last
+        triples = []
         for exps, coeff in self.terms.items():
-            term = MPoly.constant(coeff, model.alphabet, model.nvars, model.conductor)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+            *head, last = [power(i, e) for i, e in enumerate(exps) if e] or [one]
+            left = coeff
+            for p in head:
+                left = p * left
+            triples.append((1, left, last))
+        return MPoly.sum_of_products(triples)
 
     def substitute_linear(self, matrix) -> "MPoly":
         """Apply the group action f(x) -> f(x * M^{-T}) for an invertible M."""
@@ -367,7 +414,9 @@ class RatFun:
             other = RatFun(other)
         if not isinstance(other, RatFun):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return not MPoly.sum_of_products(
+            [(1, self.num, other.den), (-1, other.num, self.den)]
+        )
 
     def __hash__(self):
         raise TypeError("RatFun is unhashable: equality is not structural")
@@ -377,14 +426,16 @@ class RatFun:
             other = RatFun(other)
         if not isinstance(other, RatFun):
             return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        num = MPoly.sum_of_products([(1, self.num, other.den), (1, other.num, self.den)])
+        return RatFun(num, self.den * other.den)
 
     def __sub__(self, other):
         if isinstance(other, MPoly):
             other = RatFun(other)
         if not isinstance(other, RatFun):
             return NotImplemented
-        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
+        num = MPoly.sum_of_products([(1, self.num, other.den), (-1, other.num, self.den)])
+        return RatFun(num, self.den * other.den)
 
     def __neg__(self):
         return RatFun(-self.num, self.den)

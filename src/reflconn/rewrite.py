@@ -126,15 +126,13 @@ class Rewriter:
         return system
 
     def compose(self, g: MPoly) -> MPoly:
-        """g(phi) in x, as sum c_e phi^e over the cached products phi^e."""
+        """g(phi) in x, as sum c_e phi^e over the cached products phi^e,
+        in one accumulation."""
         if g.alphabet != "z" or g.nvars != self.nz:
             raise ValueError("compose expects a z-space polynomial, one variable per invariant")
-        terms: dict[tuple[int, ...], CycloNum] = {}
-        for e, c in g.terms.items():
-            for m, a in self.product(e).terms.items():
-                cur = terms.get(m)
-                terms[m] = c * a if cur is None else cur + c * a
-        return MPoly("x", self.nvars, self.conductor, terms)
+        if not g.terms:
+            return MPoly.zero("x", self.nvars, self.conductor)
+        return MPoly.sum_of_products([(1, c, self.product(e)) for e, c in g.terms.items()])
 
     def rewrite(self, f: MPoly) -> MPoly:
         """The unique z-polynomial g with g(phi) = f; NotInvariant if none.

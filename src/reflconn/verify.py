@@ -13,11 +13,12 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .cyclo import CycloNum
 from .errors import DenominatorMismatch
 from .groups import GroupData
 from .invariants import InvariantTuple, is_invariant
-from .linalg import det, mat_mul, mat_sub
-from .poly import RatFun
+from .linalg import det, mat_mul
+from .poly import MPoly, RatFun
 from .rewrite import Rewriter
 
 if TYPE_CHECKING:
@@ -124,21 +125,15 @@ def check_determinant_character(jd: JacobianData, group: GroupData) -> Verificat
     return report
 
 
-def _mat_partial(p, index: int):
-    return tuple(tuple(e.partial(index) for e in row) for row in p)
-
-
-def _mat_scale(p, s):
-    return tuple(tuple(e * s for e in row) for row in p)
-
-
 def check_integrability(cs: ConnectionSystem) -> VerificationReport:
     """The cleared-denominator commuting identity for each pair of matrices.
 
     With A_l = P_l / q the identity d_i(A_j) - d_j(A_i) = A_i A_j - A_j A_i
-    clears to  q*(d_i(P_j) - d_j(P_i)) - P_j*d_i(q) + P_i*d_j(q)
-             = P_i P_j - P_j P_i,  checked exactly, no division, with one
-    product by q per entry.
+    clears to  q*d_i(P_j) - q*d_j(P_i) - P_j*d_i(q) + P_i*d_j(q)
+             - (P_i P_j - P_j P_i) = 0,  checked exactly, with no division.
+    Each entry (r, c) of that difference is one sum of products
+    (MPoly.sum_of_products), tested for zero in row-major order; the first
+    nonzero entry is the witness.  The partials of q are taken once.
     """
     report = VerificationReport()
     q = cs.denominator
@@ -148,16 +143,27 @@ def check_integrability(cs: ConnectionSystem) -> VerificationReport:
             for entry in row:
                 if entry.alphabet != q.alphabet or entry.conductor != q.conductor:
                     raise DenominatorMismatch("numerators do not share q's space")
+    dq = [q.partial(k + 1) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             t0 = time.perf_counter()
             pi, pj = cs.numerators[i], cs.numerators[j]
-            lhs = mat_sub(
-                _mat_scale(mat_sub(_mat_partial(pj, i + 1), _mat_partial(pi, j + 1)), q),
-                mat_sub(_mat_scale(pj, q.partial(i + 1)), _mat_scale(pi, q.partial(j + 1))),
+            where = next(
+                (
+                    f"entry ({r + 1},{c + 1})"
+                    for r in range(n)
+                    for c in range(n)
+                    if MPoly.sum_of_products([
+                        (1, q, pj[r][c].partial(i + 1)),
+                        (-1, q, pi[r][c].partial(j + 1)),
+                        (-1, pj[r][c], dq[i]),
+                        (1, pi[r][c], dq[j]),
+                        *((-1, pi[r][t], pj[t][c]) for t in range(n)),
+                        *((1, pj[r][t], pi[t][c]) for t in range(n)),
+                    ])
+                ),
+                "",
             )
-            rhs = mat_sub(mat_mul(pi, pj), mat_mul(pj, pi))
-            where = _first_mismatch(lhs, rhs)
             ok = not where
             witness = f"pair ({i + 1},{j + 1}), {where}" if where else ""
             report.add(
@@ -225,7 +231,9 @@ def full_report(
     Invariant Theory, section 18): the check degree_product_equals_order.
     The check reflection_count ties the degrees to the group and to J once
     more: sum(d_i - 1) is the number of reflections of G (same reference)
-    and the degree of det J.
+    and the degree of det J.  The check euler_identity is Euler's identity
+    itself, sum_j x_j J_ij = d_i phi_i for each i, which ties J to the
+    invariants and their degrees.
     """
     if not sc.checks:
         raise ValueError("sc carries no group checks; build it with scaled_connection")
@@ -245,4 +253,21 @@ def full_report(
         f"deg det J = {det_degree}"
     )
     report.add("reflection_count", not witness, witness)
+    t0 = time.perf_counter()
+    model = phi.phis[0]
+    xs = [
+        MPoly.variable(j + 1, model.alphabet, model.nvars, model.conductor)
+        for j in range(model.nvars)
+    ]
+    one = CycloNum.one(model.conductor)
+    bad = next(
+        (
+            i
+            for i, (row, p, d) in enumerate(zip(jd.jac, phi.phis, phi.degrees))
+            if MPoly.sum_of_products([(1, x, e) for x, e in zip(xs, row)] + [(-d, one, p)])
+        ),
+        None,
+    )
+    witness = "" if bad is None else f"invariant {bad + 1}"
+    report.add("euler_identity", bad is None, witness, time.perf_counter() - t0)
     return report

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflconn.cyclo import CycloNum, cyclotomic_coeffs, euler_phi, signed_sum
+from reflconn.cyclo import CycloNum, cyclotomic_coeffs, euler_phi, signed_sum, sum_of_products
 from reflconn.errors import ConductorMismatch
 from reflconn.parsing import parse_scalar
 
@@ -270,3 +270,64 @@ class TestIntegerRepresentation:
         assert CycloNum.from_rational(q, n) == rational == q
         assert hash(CycloNum.from_rational(q, n)) == hash(rational)
         assert _is_canonical(rational)
+
+
+@st.composite
+def product_sums(draw):
+    """(n, triples) for sum_of_products: up to 5 triples (k, left, right) with
+    k in -2..2 and sparse term dicts in two variables over Q(zeta_n), each
+    numerator over its own denominator, so the factors and the triples
+    have mixed denominators and their products collide."""
+    n = draw(st.sampled_from((1, 3, 5, 12)))
+    d = euler_phi(n)
+    coeff = st.builds(
+        lambda nums, dens: CycloNum(n, [Fraction(x, q) for x, q in zip(nums, dens)]),
+        st.lists(st.integers(-5, 5), min_size=d, max_size=d),
+        st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 9)), min_size=d, max_size=d),
+    )
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = st.dictionaries(exps, coeff, max_size=5).map(
+        lambda t: {e: c for e, c in t.items() if c}
+    )
+    return n, draw(st.lists(st.tuples(st.integers(-2, 2), terms, terms), max_size=5))
+
+
+def _naive_sum_of_products(n, triples):
+    """sum(k * left * right) as CycloNum products and additions, term by term."""
+    out = {}
+    for k, left, right in triples:
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, CycloNum.zero(n)) + c1 * c2 * k
+    return {e: c for e, c in out.items() if c}
+
+
+class TestSumOfProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(product_sums())
+    def test_matches_naive_cyclonum_sum(self, case):
+        n, triples = case
+        out = sum_of_products(n, triples)
+        assert out == _naive_sum_of_products(n, triples)
+        for c in out.values():
+            assert c and c.conductor == n and _is_canonical(c)
+        # each triple against its negation cancels to the empty dict
+        assert sum_of_products(n, triples + [(-k, l, r) for k, l, r in triples]) == {}
+
+    def test_mixed_denominators_cancel_exactly(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        left = {(1, 0): C(half, 0, 0, 0), (0, 1): C(0, third, 0, 0)}
+        right = {(1, 0): C(0, 0, Fraction(2, 5), 0), (0, 0): C(Fraction(1, 7), 0, 0, 1)}
+        right_sum = {(1, 0): C(0, 0, Fraction(1, 5), 0), (0, 0): C(Fraction(1, 14), 0, 0, half)}
+        # 2 * left * (right / 2) - left * right == 0, with the denominators
+        # 2, 3, 5 and 7 on the factors and 70 on the triples
+        assert sum_of_products(12, [(2, left, right_sum), (-1, left, right)]) == {}
+        assert sum_of_products(12, [(2, left, right_sum)]) == _naive_sum_of_products(
+            12, [(1, left, right)]
+        )
+
+    def test_empty_and_zero_weight_triples(self):
+        left = {(1, 0): C(1, 0, 0, 0)}
+        assert sum_of_products(12, []) == {}
+        assert sum_of_products(12, [(0, left, left), (1, {}, left)]) == {}

@@ -179,6 +179,30 @@ class TestProductKernel:
         assert not calls
 
 
+class TestSumOfProductsMethod:
+    def test_scalar_left_factor_and_weights(self):
+        a, b = px("x1 + zeta*x2"), px("1/3*x1^2 - x2")
+        c = CycloNum(12, [Fraction(1, 2), 0, 1, 0])
+        expected = a * b * 3 - b * c + a * a * (-2)
+        assert MPoly.sum_of_products([(3, a, b), (-1, c, b), (-2, a, a)]) == expected
+        assert not MPoly.sum_of_products([(1, a, b), (-1, b, a)])
+        assert not MPoly.sum_of_products([(1, CycloNum.zero(12), b)])
+
+    def test_factors_must_be_compatible(self):
+        a = px("x1 + x2")
+        with pytest.raises(ConductorMismatch):
+            MPoly.sum_of_products([(1, a, a), (1, px("x1", conductor=3), a)])
+        for prefix in ([], [(1, a, a)]):
+            with pytest.raises(ConductorMismatch):
+                MPoly.sum_of_products(prefix + [(1, CycloNum.one(3), a)])
+        with pytest.raises(ValueError):
+            MPoly.sum_of_products([(1, a, pz("z1 + z2"))])
+        with pytest.raises(ValueError):
+            MPoly.sum_of_products([(1, a, px("x1", nvars=3))])
+        with pytest.raises(ValueError):
+            MPoly.sum_of_products([])
+
+
 class TestNoZeroTerms:
     def test_results_hold_no_zero_coefficient(self):
         # operations build their term dicts without zeros, and a zero-holding

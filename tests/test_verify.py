@@ -4,7 +4,10 @@ import dataclasses
 
 import pytest
 
+from reflconn.connection import build_system
 from reflconn.errors import DenominatorMismatch
+from reflconn.invariants import fundamental_invariants
+from reflconn.linalg import mat_mul, mat_sub
 from reflconn.poly import MPoly
 from reflconn.verify import (
     VerificationReport,
@@ -16,7 +19,7 @@ from reflconn.verify import (
     full_report,
 )
 
-from conftest import catalog, pipeline, px, pz
+from conftest import catalog, pipeline, px, pz, rank3_group
 
 
 def _flip_sign(matrices, ell, r, c):
@@ -136,6 +139,74 @@ class TestMutationDetection:
             check_integrability(bad)
 
 
+def _reference_integrability(cs):
+    """(name, passed, witness) per pair (i, j), from the whole matrices:
+    q*d_i(P_j) - q*d_j(P_i) - P_j*d_i(q) + P_i*d_j(q) against
+    P_i P_j - P_j P_i, then the first differing entry in row-major order."""
+    q, n = cs.denominator, cs.rank
+
+    def partial(p, k):
+        return tuple(tuple(e.partial(k) for e in row) for row in p)
+
+    def scale(p, s):
+        return tuple(tuple(e * s for e in row) for row in p)
+
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pi, pj = cs.numerators[i], cs.numerators[j]
+            lhs = mat_sub(
+                mat_sub(scale(partial(pj, i + 1), q), scale(partial(pi, j + 1), q)),
+                mat_sub(scale(pj, q.partial(i + 1)), scale(pi, q.partial(j + 1))),
+            )
+            rhs = mat_sub(mat_mul(pi, pj), mat_mul(pj, pi))
+            where = next(
+                (f"entry ({r + 1},{c + 1})" for r in range(n) for c in range(n)
+                 if lhs[r][c] != rhs[r][c]),
+                "",
+            )
+            witness = f"pair ({i + 1},{j + 1}), {where}" if where else ""
+            out.append((f"integrability[{i + 1},{j + 1}]", not where, witness))
+    return out
+
+
+class TestIntegrabilityWitnesses:
+    @pytest.mark.parametrize("name", ["G4", "G(3,3,3)"])
+    def test_each_negated_entry_matches_the_matrix_check(self, name):
+        if name == "G4":
+            cs = pipeline(name)[4]
+        else:
+            group = rank3_group(name)
+            cs = build_system(group, fundamental_invariants(group))
+        flagged = 0
+        for ell, mat in enumerate(cs.numerators):
+            for r, row in enumerate(mat):
+                for c, entry in enumerate(row):
+                    if not entry:
+                        continue
+                    bad = dataclasses.replace(
+                        cs, numerators=_flip_sign(cs.numerators, ell, r, c)
+                    )
+                    got = [(k.name, k.passed, k.witness) for k in check_integrability(bad).checks]
+                    assert got == _reference_integrability(bad)
+                    flagged += not all(passed for _, passed, _ in got)
+        assert flagged
+
+
+class TestEulerIdentity:
+    def test_mutated_jacobian_entry_names_its_invariant(self):
+        group, inv, jd, sc, cs = pipeline("G4")
+        bad_jac = tuple(
+            tuple(e * 2 if (r, c) == (1, 0) else e for c, e in enumerate(row))
+            for r, row in enumerate(jd.jac)
+        )
+        bad = dataclasses.replace(jd, jac=bad_jac)
+        report = full_report(group, inv, bad, sc, cs)
+        assert [(c.name, c.witness) for c in report.failures()] == [
+            ("euler_identity", "invariant 2"),
+        ]
+
+
 class TestReport:
     def test_empty_report_passes(self):
         assert VerificationReport().all_passed
@@ -160,6 +231,7 @@ G4_REPORT_NAMES = [
     "invariants_fixed_by_generators",
     "degree_product_equals_order",
     "reflection_count",
+    "euler_identity",
 ]
 
 
