@@ -33,9 +33,10 @@ def main():
     for row in jd.jac:
         print("  [ " + " , ".join(str(e) for e in row) + " ]")
     print(f"  det = {jd.det}")
-    print(f"  scaling exponent m = {jd.m}, so det^m is invariant")
 
     sc = scaled_connection(jd, group=group)
+    # every reflecting hyperplane has e_H = 2, so the discriminant is det^2
+    print(f"  discriminant = {sc.discriminant}")
     cs = connection_in_z(sc, inv)
     print("\nconnection matrices in invariant coordinates:")
     for ell, mat in enumerate(cs.matrices):

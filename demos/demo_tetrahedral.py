@@ -3,8 +3,8 @@
 These are the first four primitive complex reflection groups in the
 Shephard-Todd classification.  G4 and G5 are generated by order-3
 reflections, G6 mixes orders 2 and 3, and G7 needs three generating
-reflections (it is not well-generated).  The denominators below are powers
-of the Jacobian determinant rewritten in invariant coordinates.
+reflections (it is not well-generated).  The denominators below are the
+discriminants of the groups rewritten in invariant coordinates.
 """
 
 import time
@@ -21,7 +21,7 @@ def main():
         elapsed = time.perf_counter() - t0
         print(f"=== {name}: order {group.order}, "
               f"{len(group.reflection_indices)} reflections, "
-              f"m = {cs.m}, built in {elapsed:.2f}s ===")
+              f"built in {elapsed:.2f}s ===")
         print(render_text(cs, name))
         report = check_integrability(cs)
         assert report.all_passed

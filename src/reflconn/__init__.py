@@ -4,8 +4,8 @@ Galois group is a prescribed complex reflection group.
 The pipeline: close a finite matrix group over a cyclotomic field, validate
 that its reflections generate it, obtain fundamental invariants (catalog or
 Reynolds averaging), form the Jacobian of the invariants, build the
-connection matrices in the original coordinates as polynomials over a power
-of the Jacobian determinant, rewrite everything in the invariant
+connection matrices in the original coordinates as polynomials over the
+discriminant of the group, rewrite everything in the invariant
 coordinates by exact linear algebra, and verify all defining identities
 exactly.
 """

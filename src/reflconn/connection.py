@@ -5,20 +5,30 @@ All x-space computation is polynomial.  With D = det(J) and adj the
 adjugate, the coordinate derivations are delta_l = sum_i (adj_il / D) d/dx_i,
 and the l-th connection matrix is
 
-    A_l = delta_l(J) J^{-1} = P_l / D^m,
-    P_l = D^{m-2} * (sum_i adj_il * dJ/dx_i) * adj,
+    A_l = delta_l(J) J^{-1} = R_l / D^2,
+    R_l = (sum_i adj_il * dJ/dx_i) * adj.
 
-where m is the smallest multiple of the determinant-character order with
-m >= 2, so that every entry of P_l and D^m is an invariant homogeneous
-polynomial and can be rewritten in the invariant coordinates z.
+Each reflecting hyperplane H, the zero set of a linear form alpha_H, is
+fixed pointwise by a cyclic group of order e_H, and D is a constant times
+prod_H alpha_H^(e_H - 1).  A_l has at most a logarithmic pole along the
+discriminant Delta = prod_H alpha_H^(e_H), up to a constant (K. Saito,
+logarithmic vector fields; Orlik-Terao, Arrangements of Hyperplanes,
+ch. 6), so with E = prod_H alpha_H^(e_H - 2)
+
+    A_l = Omega_l / Delta,   Delta = D^2 / E,   Omega_l = R_l / E,
+
+two exact divisions, skipped when every e_H = 2 (then E = 1).  Delta and
+every entry of Omega_l are invariant homogeneous polynomials and are
+rewritten in the invariant coordinates z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import NonInvariantEntry, SingularJacobian
-from .groups import GroupData
+from .groups import GroupData, hyperplanes
 from .invariants import InvariantTuple
 from .linalg import adjugate, det, mat_mul
 from .poly import MPoly, RatFun
@@ -31,20 +41,18 @@ class JacobianData:
     jac: tuple[tuple[MPoly, ...], ...]  # row i = gradient of phi_i
     adj: tuple[tuple[MPoly, ...], ...]
     det: MPoly
-    m: int
     degrees: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ScaledConnection:
-    """Polynomial numerator matrices P_l and the common denominator D^m.
+    """Polynomial numerator matrices Omega_l and the discriminant Delta.
 
     checks holds the group checks run while building it.
     """
 
     numerators: tuple[tuple[tuple[MPoly, ...], ...], ...]
-    det_power: MPoly
-    m: int
+    discriminant: MPoly
     checks: tuple[CheckResult, ...]
 
 
@@ -56,19 +64,17 @@ class ConnectionSystem:
     numerators: tuple[tuple[tuple[MPoly, ...], ...], ...]  # over `denominator`
     denominator: MPoly
     invariants_used: InvariantTuple
-    m: int
 
     @property
     def rank(self) -> int:
         return len(self.matrices)
 
 
-def scaling_exponent(det_char_order: int) -> int:
-    """Smallest multiple of the determinant-character order that is >= 2."""
-    return max(2, det_char_order)
-
-
 def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
+    """The Jacobian of the invariants, its adjugate and determinant.
+
+    det_char_order is accepted and unused: no power of D depends on it.
+    """
     n = len(phi.phis)
     jac = tuple(
         tuple(p.partial(j + 1) for j in range(n)) for p in phi.phis
@@ -76,14 +82,7 @@ def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
     d = det(jac)
     if not d:
         raise SingularJacobian("invariants are algebraically dependent")
-    adj = adjugate(jac)
-    return JacobianData(
-        jac=jac,
-        adj=adj,
-        det=d,
-        m=scaling_exponent(det_char_order),
-        degrees=phi.degrees,
-    )
+    return JacobianData(jac=jac, adj=adjugate(jac), det=d, degrees=phi.degrees)
 
 
 def delta_apply(ell: int, f: MPoly, jd: JacobianData) -> RatFun:
@@ -95,14 +94,22 @@ def delta_apply(ell: int, f: MPoly, jd: JacobianData) -> RatFun:
     return RatFun(num, jd.det)
 
 
+def _excess(group: GroupData) -> MPoly | None:
+    """E = prod_H alpha_H^(e_H - 2), or None when every e_H = 2, so that
+    E = 1."""
+    factors = [alpha ** (e - 2) for alpha, e in hyperplanes(group) if e > 2]
+    return prod(factors) if factors else None
+
+
 def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
-    """Numerator matrices P_l with common denominator D^m, fully polynomial.
+    """Numerator matrices Omega_l over the discriminant Delta, fully polynomial.
 
     Every entry is checked to be homogeneous of the predicted degree.  The
     Jacobian equivariance and determinant-character checks of `verify` run
-    once here; together they imply that every entry of P_l and D^m is
-    invariant.  Their results are kept on the returned ScaledConnection,
-    and a failure raises NonInvariantEntry.
+    once here; together they imply that D^2 and every entry of R_l are
+    relatively invariant, and the rewrite of Delta and Omega_l into z checks
+    their invariance exactly.  The check results are kept on the returned
+    ScaledConnection, and a failure raises NonInvariantEntry.
     """
     n = len(jd.jac)
     checks = tuple(
@@ -118,13 +125,15 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
         tuple(tuple(jd.jac[i][j].partial(k + 1) for j in range(n)) for i in range(n))
         for k in range(n)
     ]
-    scale = jd.det ** (jd.m - 2)
-    det_power = jd.det ** jd.m
+    excess = _excess(group)
+    discriminant = jd.det * jd.det
+    if excess is not None:
+        discriminant = discriminant.exact_div(excess)
     degs = jd.degrees
-    refl_count = sum(dd - 1 for dd in degs)
+    delta_degree = discriminant.total_degree()
     numerators = []
     for ell in range(n):
-        # D^{m-2} * (sum_i adj_{i,ell} * dJ/dx_i) * adj
+        # R_l = (sum_i adj_{i,ell} * dJ/dx_i) * adj, then Omega_l = R_l / E
         acc = [
             [
                 MPoly.sum_of_products([(1, jd.adj[i][ell], d_partials[i][r][c]) for i in range(n)])
@@ -132,7 +141,9 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
             ]
             for r in range(n)
         ]
-        p = tuple(tuple(e * scale for e in row) for row in mat_mul(acc, jd.adj))
+        p = mat_mul(acc, jd.adj)
+        if excess is not None:
+            p = tuple(tuple(e.exact_div(excess) for e in row) for row in p)
         for r in range(n):
             for c in range(n):
                 entry = p[r][c]
@@ -140,39 +151,32 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
                     continue
                 if not entry.is_homogeneous():
                     raise NonInvariantEntry(
-                        f"entry ({r + 1},{c + 1}) of P_{ell + 1} is not homogeneous"
+                        f"entry ({r + 1},{c + 1}) of Omega_{ell + 1} is not homogeneous"
                     )
-                expected = (
-                    degs[r]
-                    - 2
-                    + (refl_count - (degs[ell] - 1))
-                    + (refl_count - (degs[c] - 1))
-                    + (jd.m - 2) * refl_count
-                )
+                expected = degs[r] - degs[ell] - degs[c] + delta_degree
                 if entry.total_degree() != expected:
                     raise NonInvariantEntry(
-                        f"entry ({r + 1},{c + 1}) of P_{ell + 1} has degree "
+                        f"entry ({r + 1},{c + 1}) of Omega_{ell + 1} has degree "
                         f"{entry.total_degree()}, expected {expected}"
                     )
         numerators.append(p)
     return ScaledConnection(
-        numerators=tuple(numerators), det_power=det_power, m=jd.m, checks=checks
+        numerators=tuple(numerators), discriminant=discriminant, checks=checks
     )
 
 
 def connection_in_x(sc: ScaledConnection) -> tuple[tuple[tuple[RatFun, ...], ...], ...]:
-    """The x-space matrices delta_l(J) J^{-1} = P_l / D^m as rational functions."""
+    """The x-space matrices delta_l(J) J^{-1} = Omega_l / Delta as rational functions."""
     return tuple(
-        tuple(tuple(RatFun(e, sc.det_power) for e in row) for row in p)
+        tuple(tuple(RatFun(e, sc.discriminant) for e in row) for row in p)
         for p in sc.numerators
     )
 
 
 def connection_in_z(sc: ScaledConnection, phi: InvariantTuple) -> ConnectionSystem:
-    """Rewrite numerators and denominator into z and assemble the system."""
+    """Rewrite Delta and the numerators Omega_l into z and assemble the system."""
     rewriter = Rewriter(phi)
-    q = rewriter.rewrite(sc.det_power)
-    n = len(sc.numerators)
+    q = rewriter.rewrite(sc.discriminant)
     numerators = []
     matrices = []
     for p in sc.numerators:
@@ -194,7 +198,6 @@ def connection_in_z(sc: ScaledConnection, phi: InvariantTuple) -> ConnectionSyst
         numerators=tuple(numerators),
         denominator=q,
         invariants_used=phi,
-        m=sc.m,
     )
 
 

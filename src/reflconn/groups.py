@@ -16,6 +16,7 @@ from .errors import (
 )
 from .linalg import det, identity_matrix, mat_mul, mat_rank, mat_sub
 from .parsing import parse_scalar
+from .poly import MPoly
 
 DEFAULT_CAP = 1 << 20
 
@@ -116,6 +117,30 @@ def is_reflection(m: Matrix, group: GroupData) -> bool:
     """True iff m is in the group and fixes a hyperplane pointwise."""
     group.index_of(m)
     return is_reflection_matrix(m, group.conductor)
+
+
+def hyperplanes(group: GroupData) -> tuple[tuple[MPoly, int], ...]:
+    """Each reflecting hyperplane H as (alpha_H, e_H), in the order of its
+    first reflection.
+
+    alpha_H is a linear form in x vanishing on H: the first nonzero row of
+    s - I for a reflection s fixing H, scaled so that its first nonzero
+    coefficient is 1.  e_H is the order of the pointwise stabiliser of H,
+    1 plus the number of reflections sharing alpha_H.
+    """
+    n = group.rank
+    ident = identity_matrix(n, group.conductor)
+    counts: dict[tuple[CycloNum, ...], int] = {}
+    for i in group.reflection_indices:
+        row = next(r for r in mat_sub(group.elements[i], ident) if any(r))
+        lead = next(e for e in row if e).inverse()
+        alpha = tuple(e * lead for e in row)
+        counts[alpha] = counts.get(alpha, 0) + 1
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return tuple(
+        (MPoly("x", n, group.conductor, dict(zip(units, alpha))), k + 1)
+        for alpha, k in counts.items()
+    )
 
 
 def validate_reflection_group(group: GroupData) -> GroupData:

@@ -126,7 +126,7 @@ def readable_ratfun(r: RatFun, latex: bool = False) -> str:
 # -- renderers --------------------------------------------------------------
 
 def render_text(cs: ConnectionSystem, group_name: str) -> str:
-    lines = [f"group: {group_name}", f"m: {cs.m}"]
+    lines = [f"group: {group_name}"]
     for k, phi in enumerate(cs.invariants_used.phis):
         lines.append(f"z{k + 1} = {readable_poly(phi)}")
     for ell, mat in enumerate(cs.matrices):
@@ -171,7 +171,6 @@ def system_to_dict(cs: ConnectionSystem, group_name: str, conductor: int) -> dic
         "conductor": conductor,
         "rank": cs.rank,
         "invariants": [str(p) for p in cs.invariants_used.phis],
-        "m": cs.m,
         "denominator": str(cs.denominator),
         "matrices": [
             [
@@ -191,8 +190,9 @@ def _check_header(data) -> None:
     """Raise InvalidSpec unless data has the types of the JSON schema."""
     if not isinstance(data, dict):
         raise InvalidSpec("a stored system must be a JSON object")
+    # m, the scaling exponent that older artifacts carry, is optional
     for key in ("conductor", "rank", "m"):
-        if not is_positive_int(data.get(key)):
+        if (key != "m" or key in data) and not is_positive_int(data.get(key)):
             raise InvalidSpec(f"{key} must be a positive integer, got {data.get(key)!r}")
     rank = data["rank"]
     invariants = data.get("invariants")
@@ -274,5 +274,4 @@ def system_from_dict(data: dict) -> ConnectionSystem:
         numerators=tuple(numerators),
         denominator=q,
         invariants_used=inv,
-        m=data["m"],
     )

@@ -6,8 +6,9 @@ vectors e with sum e_i d_i = D.  The linear algebra is done once per degree
 and cached: the products phi^e (each one multiply, mostly phi_i times a
 cached phi^(e - u_i)), |E| pivot monomials found by reducing the products
 against each other by leading monomial, and the inverse of the pivot block
-(the products' coefficients at the pivots).  Rewriting f then reads the c_e
-off f's pivot coefficients and checks the residual exactly: if
+(the products' coefficients at the pivots), one z-polynomial per pivot.
+Rewriting f then reads g as the sum of those z-polynomials weighted by f's
+pivot coefficients, in one accumulation, and checks the residual exactly: if
 g(phi) != f for g = sum c_e z^e, f is not in the subring the invariants
 generate.  The same products serve the other direction: compose(g) is
 g(phi) = sum c_e phi^e, used both for that residual and for substituting
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import CycloNum
 from .errors import NotInvariant
 from .invariants import InvariantTuple
 from .linalg import identity_matrix, solve_unique
@@ -43,13 +43,12 @@ def exponent_set(target: int, degrees) -> ExponentSet:
 
 @dataclass(frozen=True)
 class _DegreeSystem:
-    """The cached rewriting data of one degree: the exponent vectors e with
-    phi^e of that degree, the pivot monomials, and inverse[k][j], the
-    coefficient of phi^members[j] per unit of the pivots[k] coefficient."""
+    """The cached rewriting data of one degree: the pivot monomials, and
+    columns[k], the z-polynomial sum_j c_j z^e_j whose coefficients c_j are
+    those of phi^e_j per unit of the pivots[k] coefficient."""
 
-    members: tuple[tuple[int, ...], ...]
     pivots: tuple[tuple[int, ...], ...]
-    inverse: tuple[tuple[CycloNum, ...], ...]
+    columns: tuple[MPoly, ...]
 
 
 class Rewriter:
@@ -121,8 +120,11 @@ class Rewriter:
         pivots = tuple(sorted(reduced, key=grlex_key, reverse=True))
         rows = [[p.coefficient(m) for p in products] for m in pivots]
         units = identity_matrix(len(pivots), self.conductor)
-        inverse = tuple(tuple(col) for col in solve_unique(rows, units))
-        system = self._systems[degree] = _DegreeSystem(members, pivots, inverse)
+        columns = tuple(
+            MPoly("z", self.nz, self.conductor, dict(zip(members, col)))
+            for col in solve_unique(rows, units)
+        )
+        system = self._systems[degree] = _DegreeSystem(pivots, columns)
         return system
 
     def compose(self, g: MPoly) -> MPoly:
@@ -137,21 +139,20 @@ class Rewriter:
     def rewrite(self, f: MPoly) -> MPoly:
         """The unique z-polynomial g with g(phi) = f; NotInvariant if none.
 
-        g is read off f's pivot coefficients; the residual check is
+        g = sum_k b_k * columns[k] over the pivots whose coefficient b_k in
+        f is nonzero, in one accumulation; the residual check is
         compose(g) == f, exactly."""
         if f.alphabet != "x":
             raise ValueError("rewrite expects an x-space polynomial")
         if f.is_zero():
             return MPoly.zero("z", self.nz, self.conductor)
         system = self._system(require_homogeneous(f))
-        zero = CycloNum.zero(self.conductor)
-        coeffs = [zero] * len(system.members)
-        for m, column in zip(system.pivots, system.inverse):
-            b = f.terms.get(m)
-            if b:
-                coeffs = [c + b * a if a else c for c, a in zip(coeffs, column)]
-        terms = {e: c for e, c in zip(system.members, coeffs) if c}
-        g = MPoly("z", self.nz, self.conductor, terms)
+        hits = [
+            (1, b, column)
+            for b, column in zip(map(f.terms.get, system.pivots), system.columns)
+            if b
+        ]
+        g = MPoly.sum_of_products(hits) if hits else MPoly.zero("z", self.nz, self.conductor)
         if self.compose(g) != f:
             raise NotInvariant(
                 "polynomial is not in the subring generated by the invariants"

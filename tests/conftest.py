@@ -5,7 +5,7 @@ from hypothesis import settings
 
 from reflconn.connection import build_system, connection_in_z, jacobian, scaled_connection
 from reflconn.groups import close_group, parse_matrix, validate_reflection_group
-from reflconn.invariants import InvariantTuple, catalog_lookup
+from reflconn.invariants import InvariantTuple, catalog_lookup, fundamental_invariants
 from reflconn.parsing import parse_expr
 
 # Derandomised, so that a fuzz failure in CI reproduces from the same
@@ -94,6 +94,17 @@ def rank3_group(name):
 @functools.lru_cache(maxsize=None)
 def extra_group(name):
     return _closed(*EXTRA_GENERATORS[name])
+
+
+@functools.lru_cache(maxsize=None)
+def derived_pipeline(name):
+    """(group, phi, jd, sc, cs) of a rank-3 or extra group on its Reynolds
+    invariants, cached."""
+    group = rank3_group(name) if name in RANK3_GENERATORS else extra_group(name)
+    phi = fundamental_invariants(group)
+    jd = jacobian(phi, det_char_order=group.det_char_order)
+    sc = scaled_connection(jd, group=group)
+    return group, phi, jd, sc, connection_in_z(sc, phi)
 
 
 @pytest.fixture(scope="session")

@@ -13,34 +13,35 @@ import pytest
 from reflconn.connection import connection_in_z, jacobian, scaled_connection
 from reflconn.invariants import fundamental_invariants
 from reflconn.render import render_json, render_latex, render_text
+from reflconn.verify import full_report
 
-from conftest import RANK3_GENERATORS, catalog, pipeline, rank3_group
+from conftest import RANK3_GENERATORS, catalog, derived_pipeline, pipeline, rank3_group
 
 SHA256 = {
     "G(2,1,2)": (
-        "3d9b0689e28c1248bdb661c2c551edf2e7cc912d5eedb348299e220a02ccc164",
-        "1bb8ed10c5b8e374bbcc576b8e63d2466ee0e05ab5ddea548c7b734712f0457a",
+        "ec802f5d3164621646861a3b18bafff8592587bd717b03846219d9a9a1a7f33a",
+        "e94ff0796982299361e3de5dbacf0d307653e2fa09b87066367ba9434c3c88de",
         "da26feaff2fcee4f6f84655c6637dff8156dbd68b95d4858e526030af7d60191",
     ),
     "G4": (
-        "669b0f70a91b889bb796a05b3f74ae2281541bb11aa764b14e0683fd356a5a8b",
-        "4107670cd0cd156340d8cceeca5e74a75871d027387d009c1a5e9f78d351f5a9",
-        "eb41bdf772541f7265204796ab2384db462855082b0b85abca1c6caa4c5e813c",
+        "edd740d8b890a23f48834188581f756bdd7afce5f9d7fbe946205691d0885a4f",
+        "033ddd2431bd577c61589f7fbb79d4cdf5a6d3d25e3eaa25b5c6192b00662456",
+        "8e1c1d8f31108d77242cfe0f1ae37758d8440dcba19405164c066447dacaa90c",
     ),
     "G5": (
-        "0e93231feeb2e5660ee16fb9b3ba52a6039e03779433b6ef118b5d4af0c1d1aa",
-        "d370ec6b80d4bd19e49b02001025152463f4c7a2c98e4cb9105c299906b3cec8",
-        "73439e94c703ef5270a3599a2948ff41dda60e14a48ca6d2c38a74b31d1e6c0d",
+        "38bb633610846c556b893cf9744386f47a0cc10648bfb700a338ddedad65e3e8",
+        "c447e4a98f24a825e1f0d3ace1100e63b8a6abe4738f81bff76bd4b09c13c65b",
+        "987a3dc01fc92e004dbfe02fa37d601488e16f2c5c86d44ca7a28a76e11503dd",
     ),
     "G6": (
-        "583ddea2dfc5be666e968e7c4a22a22d2e3d80ef05aaf0f6e0dda3dc38faa76a",
-        "adceadca5ff0112a44907fd8f4d81bb89df0ca8fad5219654153a824c5326593",
-        "c846b638d69631cce4268e649a480dbab0a8e7b5b49a08dd4fad519a3f63047a",
+        "52699c6055a135c27dca95c1484fcc596fe2da77b8a722a876790adf2772e040",
+        "3e1ddfb887917ec1ac45ca11ba77b48052d12d74933cd11c90da353072182009",
+        "cb02350e9d650f801f46e5c9380de67bdc1b2bb84821d355f9fc05b0b7a44b79",
     ),
     "G7": (
-        "8ef22226b4c8f6c5af773a09afd250be9e6d3b290ce20ede78c387a632f2f6b0",
-        "a55700bcc6da40b74293151af7f144c241a25cf158a8d873d8fb9af6c79e082d",
-        "cb03067af1d4ca2907abc72e6b5deff18fb1d390d316666d4f609f1594a26c71",
+        "21658982a42495ba880b25edb67948fc1c40ae5633b220dd545a9800a3880868",
+        "1896a80112a879666c740766649e1c07550af4d611ae9f37adfcf5a7f94d1dc8",
+        "498190ddfdeba075f0d60f13eaae6e9faf0870040920929234863b2bf95b0bc0",
     ),
 }
 
@@ -60,11 +61,11 @@ def test_rendered_artifacts_are_pinned(name):
 
 # `reflconn compute --group <g> --invariants reynolds --format json`
 REYNOLDS_JSON_SHA256 = {
-    "G(2,1,2)": "67a760ffe406a7cd73b20d746481d61f3d3ee292b58d7867552311766d87c6f6",
-    "G4": "669b0f70a91b889bb796a05b3f74ae2281541bb11aa764b14e0683fd356a5a8b",
-    "G5": "1e0176f103ec65e3cad5b4385d01c8b876e0a3464a048c5c489a5a0dc22acacf",
-    "G6": "cbdf3103a9bc9766059ea3a1738fd54db4d382357385e2580177db5c481e5a88",
-    "G7": "500853a94c1fccb618e4d6477e80778273c5c05b4d0f9b18042252bdb295a519",
+    "G(2,1,2)": "d7f30fd724060036b90c1d3bd9216681bc80b02f5d4185ab2bf53b31e5590116",
+    "G4": "edd740d8b890a23f48834188581f756bdd7afce5f9d7fbe946205691d0885a4f",
+    "G5": "094207f2f2c458fed9023354e605c27a25b87260cc6a8690486af7a32fbfcfda",
+    "G6": "142a057486688e858a72bfdfb659e7454cf0b792bddcdcebf102d4cf4e6b7091",
+    "G7": "61773d9d83ee7cda852217d3db36920681f4407859404d3836fac9f3c0165afa",
 }
 
 # fundamental_invariants of the groups the benchmark derives invariants for
@@ -108,13 +109,13 @@ def test_reynolds_invariants_are_pinned(name):
 # coefficients in powers of zeta, the rational ones as \tfrac.
 RANK3_SHA256 = {
     "G(2,1,3)": (
-        "1fd51e20078def9051f14bcdebeae97595adf3b882120933f0b46f95ee558566",
-        "9ca40744c25f552e86b9e9e62d82da97236ac37ba623d4b67d1b98d1366abc61",
+        "92b4608843f7f7a3db7fe298e1a980abd091f639c99b1b8d5e520b3c6ab184c0",
+        "c4cc4b9414480a64fd89bb2357bdc4e5caea78ee6e0968525b6676e52fdc347c",
         "8a751020c0fc2f7064bd89b7e314f07893df623a3a5a9fabc602d01ec5ffbd13",
     ),
     "G(3,3,3)": (
-        "d313e3a13fc96370336b5ad933d44faf778d8d7417b31a577439d42c089bda6a",
-        "7c8316ec379081b4ae295b6a07285b9e3c6891ab204bb3c8f877297c2cba8860",
+        "2b5e721cae60ec1b432a67e54fa77764b9487564e6c76614351cb49aba14668f",
+        "23e64fef02a74fac0983c8a41599bb437252783f5ab72abdaa2e0b20656cca92",
         "9a92a850671c23c2354155c5b2badaed5bbffab096943fb112a38e9f180f7359",
     ),
 }
@@ -122,9 +123,7 @@ RANK3_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(RANK3_SHA256))
 def test_rank3_artifacts_are_pinned(name):
-    group, phi = _reynolds_invariants(name)
-    jd = jacobian(phi, det_char_order=group.det_char_order)
-    cs = connection_in_z(scaled_connection(jd, group=group), phi)
+    group, _, _, _, cs = derived_pipeline(name)
     latex = render_latex(cs, name)
     json_sha, text_sha, latex_sha = RANK3_SHA256[name]
     assert _sha256(render_json(cs, name, group.conductor)) == json_sha
@@ -132,3 +131,18 @@ def test_rank3_artifacts_are_pinned(name):
     assert _sha256(latex) == latex_sha
     # the scalar grammar's "1/2" is not LaTeX
     assert r"\tfrac{" in latex and "/" not in latex
+
+
+# JSON of the full systems of groups past the catalog and the benchmark, on
+# their Reynolds invariants; each also passes every check of full_report
+EXTRA_JSON_SHA256 = {
+    "G(3,1,3)": "a611bc157ddb341d013a5fc5dcab7c8d15f5839b96bc76a8a70c236c2456a0bc",
+    "G(4,1,2)": "cd2aeccb542bae983cef7814c27775ed01c096b23cc590d63589af9eb4b1a459",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_JSON_SHA256))
+def test_extra_artifacts_are_pinned(name):
+    group, phi, jd, sc, cs = derived_pipeline(name)
+    assert full_report(group, phi, jd, sc, cs).all_passed
+    assert _sha256(render_json(cs, name, group.conductor)) == EXTRA_JSON_SHA256[name]

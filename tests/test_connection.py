@@ -10,28 +10,71 @@ from reflconn.connection import (
     delta_apply,
     jacobian,
     scaled_connection,
-    scaling_exponent,
 )
 from reflconn.errors import NonInvariantEntry, SingularJacobian
+from reflconn.groups import hyperplanes
 from reflconn.invariants import InvariantTuple
-from reflconn.poly import RatFun
+from reflconn.poly import MPoly, RatFun
 
-from conftest import catalog, pipeline, px, pz, sign_group
+from conftest import catalog, derived_pipeline, pipeline, px, pz, sign_group
+
+
+# deg Delta = sum_H e_H, on catalog invariants for the first five groups
+# and Reynolds invariants for the rest
+DELTA_DEGREE = {
+    "G(2,1,2)": 8, "G4": 12, "G5": 24, "G6": 24, "G7": 36,
+    "G(2,1,3)": 18, "G(3,3,3)": 18, "G(4,1,2)": 16, "G(3,1,3)": 27,
+}
+
+
+CATALOG = ("G(2,1,2)", "G4", "G5", "G6", "G7")
+
+
+def any_pipeline(name):
+    return pipeline(name) if name in CATALOG else derived_pipeline(name)
 
 
 class TestScalingExponent:
-    def test_values(self):
-        assert scaling_exponent(1) == 2
-        assert scaling_exponent(2) == 2
-        assert scaling_exponent(3) == 3
-        assert scaling_exponent(6) == 6
+    """The determinant-character order m does not scale the system: the
+    denominator is Delta = D^2 / E, of degree sum_H e_H, whatever m is."""
 
-    @pytest.mark.parametrize(
-        "name,m", [("G(2,1,2)", 2), ("G4", 3), ("G5", 3), ("G6", 6), ("G7", 6)]
-    )
+    @pytest.mark.parametrize("name,m", zip(CATALOG, (2, 3, 3, 6, 6)))
     def test_catalog_scaling(self, name, m):
-        _, _, jd, sc, cs = pipeline(name)
-        assert jd.m == m and sc.m == m and cs.m == m
+        group, _, _, sc, _ = pipeline(name)
+        assert group.det_char_order == m
+        assert sc.discriminant.total_degree() == DELTA_DEGREE[name]
+
+
+class TestDiscriminant:
+    @pytest.mark.parametrize("name", sorted(DELTA_DEGREE))
+    def test_omega_over_delta_is_the_connection(self, name):
+        # delta_l(J) J^-1 entrywise: each delta_l(J_rt) is N_rt / D with one
+        # monic denominator, and J^-1 = adj / D
+        _, _, jd, sc, _ = any_pipeline(name)
+        n = len(jd.jac)
+        for ell in range(n):
+            deltas = [[delta_apply(ell + 1, e, jd) for e in row] for row in jd.jac]
+            den = deltas[0][0].den * jd.det
+            for r in range(n):
+                for c in range(n):
+                    num = MPoly.sum_of_products(
+                        [(1, deltas[r][t].num, jd.adj[t][c]) for t in range(n)]
+                    )
+                    omega = RatFun(sc.numerators[ell][r][c], sc.discriminant)
+                    assert omega == RatFun(num, den)
+
+    @pytest.mark.parametrize("name", sorted(DELTA_DEGREE))
+    def test_degree_is_the_sum_of_hyperplane_orders(self, name):
+        group, _, _, sc, _ = any_pipeline(name)
+        orders = [e for _, e in hyperplanes(group)]
+        assert sc.discriminant.total_degree() == sum(orders) == DELTA_DEGREE[name]
+        assert sum(e - 1 for e in orders) == len(group.reflection_indices)
+
+    @pytest.mark.parametrize("name", sorted(DELTA_DEGREE))
+    def test_delta_is_d_squared_exactly_when_every_order_is_two(self, name):
+        group, _, jd, sc, _ = any_pipeline(name)
+        every_two = all(e == 2 for _, e in hyperplanes(group))
+        assert (sc.discriminant == jd.det * jd.det) == every_two
 
 
 class TestJacobian:
@@ -105,12 +148,8 @@ class TestScaledConnection:
                     e = sc.numerators[ell][r][c]
                     if e.is_zero():
                         continue
-                    expected = (
-                        degs[r] - 2
-                        + (refl - (degs[ell] - 1))
-                        + (refl - (degs[c] - 1))
-                        + (jd.m - 2) * refl
-                    )
+                    # G(2,1,2) has every e_H = 2, so Delta = D^2
+                    expected = degs[r] - degs[ell] - degs[c] + 2 * refl
                     assert e.is_homogeneous()
                     assert e.total_degree() == expected
 
@@ -157,9 +196,9 @@ class TestConnectionSystem:
                         cs.numerators[ell][r][c], cs.denominator
                     )
 
-    def test_denominator_is_det_power_rewritten(self):
+    def test_denominator_is_discriminant_rewritten(self):
         _, inv, jd, sc, cs = pipeline("G(2,1,2)")
-        assert cs.denominator.compose(list(inv.phis)) == sc.det_power
+        assert cs.denominator.compose(list(inv.phis)) == sc.discriminant
 
     def test_rank_one_system(self):
         group, inv = sign_group()

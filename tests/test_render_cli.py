@@ -94,7 +94,6 @@ class TestJsonRoundTrip:
         group, _, _, _, cs = pipeline(name)
         data = json.loads(render_json(cs, name, group.conductor))
         back = system_from_dict(data)
-        assert back.m == cs.m
         assert back.denominator == cs.denominator
         for ell in range(cs.rank):
             for r in range(cs.rank):
@@ -108,8 +107,7 @@ class TestJsonRoundTrip:
         group, _, _, _, cs = pipeline("G(2,1,2)")
         data = system_to_dict(cs, "G(2,1,2)", group.conductor)
         assert set(data) == {
-            "group", "conductor", "rank", "invariants", "m",
-            "denominator", "matrices",
+            "group", "conductor", "rank", "invariants", "denominator", "matrices",
         }
         assert data["rank"] == 2 and data["conductor"] == 12
         assert all(
@@ -162,6 +160,20 @@ class TestCli:
         out_file.write_text(json.dumps(data))
         assert main(["verify", str(out_file)]) == 3
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_verify_artifact_carrying_m(self, capsys):
+        # written by a version that scaled by D^m: G4 over D^3, with "m": 3
+        path = Path(__file__).parent / "data" / "g4_with_m.json"
+        data = json.loads(path.read_text())
+        assert data["m"] == 3
+        assert main(["verify", str(path)]) == 0
+        assert "[PASS] integrability[1,2]" in capsys.readouterr().out
+        # the same system as today's G4, entry by entry
+        old, new = system_from_dict(data), pipeline("G4")[4]
+        for ell in range(2):
+            for r in range(2):
+                for c in range(2):
+                    assert old.matrices[ell][r][c] == new.matrices[ell][r][c]
 
     def test_verify_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/system.json"]) == 2

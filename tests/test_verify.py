@@ -224,7 +224,6 @@ G4_REPORT_NAMES = [
     "jacobian_equivariance[gen 1]",
     "det_relative_invariance[gen 0]",
     "det_relative_invariance[gen 1]",
-    "det_power_invariant",
     "integrability[1,2]",
     "cross_validation[A_1]",
     "cross_validation[A_2]",
@@ -240,7 +239,7 @@ class TestReportOrder:
         group, inv, jd, sc, cs = pipeline("G4")
         report = full_report(group, inv, jd, sc, cs)
         assert [c.name for c in report.checks] == G4_REPORT_NAMES
-        assert report.checks[:5] == list(sc.checks)
+        assert report.checks[:4] == list(sc.checks)
         assert report.all_passed
 
     def test_reflection_count_flags_a_missing_reflection(self):
