@@ -30,7 +30,7 @@ from math import prod
 from .errors import NonInvariantEntry, SingularJacobian
 from .groups import GroupData, hyperplanes
 from .invariants import InvariantTuple
-from .linalg import adjugate, det, mat_mul
+from .linalg import adjugate, mat_mul
 from .poly import MPoly, RatFun
 from .rewrite import Rewriter
 from .verify import CheckResult, check_determinant_character, check_equivariance
@@ -73,16 +73,19 @@ class ConnectionSystem:
 def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
     """The Jacobian of the invariants, its adjugate and determinant.
 
-    det_char_order is accepted and unused: no power of D depends on it.
+    D is read off the adjugate's first column, D = (J * adj)[0][0], so one
+    Laplace expansion serves both.  det_char_order is accepted and unused:
+    no power of D depends on it.
     """
     n = len(phi.phis)
     jac = tuple(
         tuple(p.partial(j + 1) for j in range(n)) for p in phi.phis
     )
-    d = det(jac)
+    adj = adjugate(jac)
+    d = MPoly.sum_of_products([(1, x, adj[j][0]) for j, x in enumerate(jac[0])])
     if not d:
         raise SingularJacobian("invariants are algebraically dependent")
-    return JacobianData(jac=jac, adj=adjugate(jac), det=d, degrees=phi.degrees)
+    return JacobianData(jac=jac, adj=adj, det=d, degrees=phi.degrees)
 
 
 def delta_apply(ell: int, f: MPoly, jd: JacobianData) -> RatFun:

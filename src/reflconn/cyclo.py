@@ -9,16 +9,19 @@ of two reduced numerator vectors reduces with an integer table of powers
 of zeta, and an inverse is an integer product of Galois conjugates over the
 integer field norm: no operation computes with Fractions.
 
-sum_of_products is the one polynomial kernel: it evaluates a sum of
-weighted products of polynomials, given as term dicts, as one integer
-accumulation per output monomial, so a polynomial product, a matrix entry
-or a whole identity reduces and normalises each coefficient once.
+Every sum of products is one integer accumulation.  sum_of_products
+evaluates a sum of weighted products of polynomials, given as term dicts,
+with one accumulator per output monomial, so a polynomial product, a matrix
+entry or a whole identity reduces and normalises each coefficient once;
+CycloNum.sum_of_products is its scalar case, with one accumulator for a
+scalar matrix entry or determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 
@@ -399,6 +402,40 @@ class CycloNum:
         )
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(triples) -> CycloNum:
+        """sum(k * a * b) over a nonempty iterable of triples (k, a, b), k a
+        small int and a, b CycloNums of one conductor, read once.
+
+        The scalar case of sum_of_products: each triple is scaled to the
+        running common denominator and adds the unreduced integer
+        convolution of its numerators to one accumulator, which is reduced
+        mod Phi_N and made canonical once, at the end.
+        """
+        triples = iter(triples)
+        first = next(triples, None)
+        if first is None:
+            raise ValueError("no products to sum")
+        n = first[1].conductor
+        d = len(first[1]._num)
+        acc = [0] * (2 * d - 1)
+        den = 1
+        for k, a, b in chain((first,), triples):
+            if a.conductor != n or b.conductor != n:
+                raise ConductorMismatch(f"conductors differ: {n}, {a.conductor}, {b.conductor}")
+            dt = a._den * b._den
+            if den % dt:
+                grow = lcm(den, dt) // den
+                den *= grow
+                acc = [c * grow for c in acc]
+            s = k * (den // dt)
+            for i, x in enumerate(a._num):
+                if x:
+                    x *= s
+                    for j, y in enumerate(b._num, i):
+                        acc[j] += x * y
+        return _canonical(n, _fold(n, acc, d), den)
 
     def inverse(self) -> CycloNum:
         """Multiplicative inverse through the field norm.

@@ -83,14 +83,19 @@ def molien_series(group: GroupData, precision: int):
         ) from None
 
 
-def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]:
+def invariant_degrees(group: GroupData) -> tuple[int, ...]:
     """Degrees of the fundamental invariants, read off the Molien series.
 
-    Iteratively strips factors 1/(1 - t^d) starting from the lowest
-    nonconstant term; cross-checks the product against the group order and
-    the sum against the reflection count.
+    sum(d_i - 1) is the reflection count r (Kane, Reflection Groups and
+    Invariant Theory, section 18), so every degree is at most r + 1 and the
+    series is read to t^(r + 1).  Iteratively strips factors 1/(1 - t^d)
+    starting from the lowest nonconstant term; cross-checks the product
+    against the group order and the sum against r.
     """
-    precision = max_degree + 1
+    reflections = len(group.reflection_indices)
+    if not reflections:
+        raise DegreeSearchFailed("no reflections recorded, so no bound on the degrees")
+    precision = reflections + 2
     series = molien_series(group, precision)
     degrees = []
     for _ in range(group.rank):
@@ -101,7 +106,7 @@ def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]
                 break
         if d is None:
             raise DegreeSearchFailed(
-                f"no invariant degree found below {precision - 1}"
+                f"no invariant degree found up to {precision - 1}"
             )
         degrees.append(d)
         # multiply by (1 - t^d)
@@ -119,16 +124,14 @@ def invariant_degrees(group: GroupData, max_degree: int = 64) -> tuple[int, ...]
         raise DegreeSearchFailed(
             f"degree product {prod} does not match group order {group.order}"
         )
-    if group.reflection_indices and sum(d - 1 for d in degrees) != len(
-        group.reflection_indices
-    ):
+    if sum(d - 1 for d in degrees) != reflections:
         raise DegreeSearchFailed("degree sum does not match reflection count")
     return tuple(degrees)
 
 
 # -- fundamental invariants -------------------------------------------------
 
-def fundamental_invariants(group: GroupData, max_degree: int = 64) -> InvariantTuple:
+def fundamental_invariants(group: GroupData) -> InvariantTuple:
     """Reynolds-derived fundamental invariants, picked degree by degree
     modulo the decomposables.
 
@@ -139,7 +142,7 @@ def fundamental_invariants(group: GroupData, max_degree: int = 64) -> InvariantT
     many are kept as d occurs among the degrees.  A kept invariant is the
     monic Reynolds image itself.  det J != 0 certifies the result.
     """
-    degrees = invariant_degrees(group, max_degree)
+    degrees = invariant_degrees(group)
     n, conductor = group.rank, group.conductor
     one = CycloNum.one(conductor)
     phis: list[MPoly] = []

@@ -1,15 +1,13 @@
 """Exact linear algebra helpers.
 
-Determinant and adjugate are generic Laplace expansions that work for any
-ring whose elements support +, -, * (CycloNum scalars as well as MPoly
-entries): they serve the Jacobian over MPoly and the scalar principal
-minors of the Molien series.  When every entry of a matrix product or
-determinant is a polynomial, each entry of the product and each Laplace
-sum is one fused accumulation (MPoly.sum_of_products); scalar and mixed
-polynomial-times-scalar entries take the running sum of products.
-mat_inverse serves the group action f(x) -> f(x * M^{-T}).  Row reduction
-and solving are restricted to CycloNum, where every nonzero pivot is
-invertible.
+Determinant and adjugate are generic Laplace expansions over any ring whose
+entries sum products in one accumulation, CycloNum scalars and MPoly
+polynomials alike: they serve the Jacobian over MPoly and the scalar
+principal minors of the Molien series.  Each entry of a matrix product and
+each level of a Laplace expansion is one call to the entries' class's
+sum_of_products.  mat_inverse serves the group action f(x) -> f(x * M^{-T}).
+Row reduction and solving are restricted to CycloNum, where every nonzero
+pivot is invertible.
 """
 
 from __future__ import annotations
@@ -18,40 +16,19 @@ from .cyclo import CycloNum
 from .errors import SingularMatrix
 
 
-def _fused(*matrices):
-    """The entries' class when it sums products in one accumulation and
-    every entry of the matrices is of that class, else None."""
-    kind = type(matrices[0][0][0])
-    if kind is not CycloNum and hasattr(kind, "sum_of_products") and all(
-        type(e) is kind for m in matrices for row in m for e in row
-    ):
-        return kind
-    return None
-
-
 def mat_mul(a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0])
-    kind = _fused(a, b)
-    if kind is not None:
-        return tuple(
-            tuple(
-                kind.sum_of_products([(1, a[i][t], b[t][j]) for t in range(k)])
-                for j in range(m)
-            )
-            for i in range(n)
-        )
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """a * b, each entry one sum of products in the ring of a's entries.
+
+    b's entry is the left factor of each product, so a polynomial matrix
+    may be multiplied by a scalar one (MPoly.sum_of_products takes a
+    CycloNum there).
+    """
+    kind = type(a[0][0])
+    cols = range(len(b[0]))
+    return tuple(
+        tuple(kind.sum_of_products([(1, b[t][j], x) for t, x in enumerate(row)]) for j in cols)
+        for row in a
+    )
 
 
 def mat_sub(a, b):
@@ -81,26 +58,11 @@ def det(matrix):
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    kind = _fused(matrix)
-    if kind is not None:
-        if n == 2:
-            return kind.sum_of_products(
-                [(1, matrix[0][0], matrix[1][1]), (-1, matrix[0][1], matrix[1][0])]
-            )
-        return kind.sum_of_products([
-            (-1 if j % 2 else 1, matrix[0][j], det(_minor(matrix, 0, j)))
-            for j in range(n)
-        ])
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    acc = None
-    for j in range(n):
-        entry = matrix[0][j]
-        term = entry * det(_minor(matrix, 0, j))
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    top = matrix[0]
+    return type(top[0]).sum_of_products([
+        (-1 if j % 2 else 1, x, matrix[1][1 - j] if n == 2 else det(_minor(matrix, 0, j)))
+        for j, x in enumerate(top)
+    ])
 
 
 def adjugate(matrix):
@@ -128,9 +90,7 @@ def mat_inverse(matrix):
     Laplace expansion serves both.
     """
     adj = adjugate(matrix)
-    d = matrix[0][0] * adj[0][0]
-    for j in range(1, len(matrix)):
-        d = d + matrix[0][j] * adj[j][0]
+    d = CycloNum.sum_of_products([(1, x, adj[j][0]) for j, x in enumerate(matrix[0])])
     if not d:
         raise SingularMatrix("matrix is not invertible")
     d_inv = d.inverse()

@@ -3,10 +3,11 @@
 Given fundamental invariants phi_1..phi_n of degrees d_1..d_n and an
 invariant homogeneous f(x) of degree D, f = sum c_e phi^e over the exponent
 vectors e with sum e_i d_i = D.  The linear algebra is done once per degree
-and cached: the products phi^e (each one multiply, mostly phi_i times a
-cached phi^(e - u_i)), |E| pivot monomials found by reducing the products
-against each other by leading monomial, and the inverse of the pivot block
-(the products' coefficients at the pivots), one z-polynomial per pivot.
+and cached: the products phi^e (each missing one phi_i times phi^(e - u_i),
+phi_i the last invariant in e's support), |E| pivot monomials found by
+reducing the products against each other by leading monomial, and the
+inverse of the pivot block (the products' coefficients at the pivots), one
+z-polynomial per pivot.
 Rewriting f then reads g as the sum of those z-polynomials weighted by f's
 pivot coefficients, in one accumulation, and checks the residual exactly: if
 g(phi) != f for g = sum c_e z^e, f is not in the subring the invariants
@@ -67,34 +68,18 @@ class Rewriter:
         self._systems: dict[int, _DegreeSystem] = {}
 
     def product(self, exps: tuple[int, ...]) -> MPoly:
-        """phi^exps, by one multiply: phi_i times a cached phi^(exps - u_i)
-        when there is one, else phi^prefix times the power of the last
-        invariant.  A degree thus adds at most one product per exponent
-        vector, besides prefixes and powers phi_i^k."""
-        hit = self._products.get(exps)
-        if hit is not None:
-            return hit
-        support = [i for i, e in enumerate(exps) if e]
-        for i in support:
-            parent = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            if parent in self._products:
-                hit = self.product(parent) * self.phi.phis[i]
-                break
-        else:
-            i = support[-1]
-            if len(support) > 1:
-                prefix = exps[:i] + (0,) * (len(exps) - i)
-                hit = self.product(prefix) * self.product((0,) * i + exps[i:])
-            else:
-                # phi_i^k: build the missing powers below it bottom up, each
-                # from the one before, so that the recursion stays shallow
-                k = exps[i] - 2
-                while exps[:i] + (k,) + exps[i + 1:] not in self._products:
-                    k -= 1
-                for j in range(k, exps[i]):
-                    hit = self.product(exps[:i] + (j,) + exps[i + 1:]) * self.phi.phis[i]
-                    self._products[exps[:i] + (j + 1,) + exps[i + 1:]] = hit
-        self._products[exps] = hit
+        """phi^exps, one multiply per missing step: walk down from exps to
+        a cached product, taking one off the last invariant in the support
+        each step, then multiply back up, caching every step.  Nothing
+        recurses."""
+        steps = []
+        while exps not in self._products:
+            i = max(k for k, e in enumerate(exps) if e)
+            steps.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        hit = self._products[exps]
+        for exps, i in reversed(steps):
+            hit = self._products[exps] = hit * self.phi.phis[i]
         return hit
 
     def _system(self, degree: int) -> _DegreeSystem:

@@ -174,7 +174,7 @@ def test_criterion_5_degree_bookkeeping():
             prod *= d
         refl = len(group.reflection_indices)
         ok = ok and prod == group.order and sum(d - 1 for d in degs) == refl
-        ok = ok and invariant_degrees(group, max_degree=16) == degs
+        ok = ok and invariant_degrees(group) == degs
         details.append(f"{name}:{set(degs)}/{group.order}/{refl}")
     d8_group, d8_inv = catalog("G(2,1,2)")
     ok = ok and sorted(d8_inv.degrees) == [2, 4] and d8_group.order == 8

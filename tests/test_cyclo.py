@@ -331,3 +331,51 @@ class TestSumOfProducts:
         left = {(1, 0): C(1, 0, 0, 0)}
         assert sum_of_products(12, []) == {}
         assert sum_of_products(12, [(0, left, left), (1, {}, left)]) == {}
+
+
+@st.composite
+def scalar_product_sums(draw):
+    """A nonempty list of triples (k, a, b), k in {-2, -1, 1, 2}, of scalars
+    over Q(zeta_n), each numerator over its own denominator; one factor
+    in four is drawn as the zero element."""
+    n = draw(st.sampled_from((1, 3, 4, 5, 7, 12)))
+    d = euler_phi(n)
+    element = st.builds(
+        lambda nums, dens: CycloNum(n, [Fraction(x, q) for x, q in zip(nums, dens)]),
+        st.lists(st.integers(-5, 5), min_size=d, max_size=d),
+        st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 9)), min_size=d, max_size=d),
+    )
+    scalar = st.one_of(st.just(CycloNum.zero(n)), element, element, element)
+    k = st.sampled_from((-2, -1, 1, 2))
+    return draw(st.lists(st.tuples(k, scalar, scalar), min_size=1, max_size=6))
+
+
+class TestScalarSumOfProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_product_sums())
+    def test_matches_running_sum(self, triples):
+        running = triples[0][1] * triples[0][2] * triples[0][0]
+        for k, a, b in triples[1:]:
+            running = running + a * b * k
+        out = CycloNum.sum_of_products(triples)
+        assert out == running
+        assert (out._num, out._den) == (running._num, running._den)
+        assert _is_canonical(out)
+        negated = triples + [(-k, a, b) for k, a, b in triples]
+        assert not CycloNum.sum_of_products(negated)
+
+    def test_reads_a_generator_once(self):
+        a, b = C(1, 2, 0, 0), C(0, Fraction(1, 3), 0, 1)
+        triples = ((k, a, b) for k in (1, -2))
+        assert CycloNum.sum_of_products(triples) == -(a * b)
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            CycloNum.sum_of_products([])
+
+    def test_mixed_conductors_raise(self):
+        a, b = CycloNum.one(12), CycloNum.zeta(3)
+        with pytest.raises(ConductorMismatch):
+            CycloNum.sum_of_products([(1, a, a), (1, a, b)])
+        with pytest.raises(ConductorMismatch):
+            CycloNum.sum_of_products([(1, b, a)])

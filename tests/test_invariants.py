@@ -1,13 +1,15 @@
 """Reynolds operator, Molien degrees, fundamental invariants, the catalog."""
 
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from reflconn import invariants
 from reflconn.cyclo import CycloNum
 from reflconn.errors import DegreeSearchFailed, UnknownGroup
-from reflconn.groups import GroupData
+from reflconn.groups import GroupData, group_from_spec, load_group_spec
 from reflconn.invariants import (
     catalog_lookup,
     catalog_names,
@@ -65,12 +67,12 @@ class TestMolien:
     )
     def test_invariant_degrees(self, name, degrees):
         group, _ = catalog(name)
-        assert invariant_degrees(group, max_degree=16) == degrees
+        assert invariant_degrees(group) == degrees
 
     def test_degree_product_and_sum(self):
         for name in catalog_names():
             group, _ = catalog(name)
-            degs = invariant_degrees(group, max_degree=16)
+            degs = invariant_degrees(group)
             prod = 1
             for d in degs:
                 prod *= d
@@ -80,6 +82,21 @@ class TestMolien:
     def test_rank_one_degrees(self):
         group, _ = sign_group()
         assert invariant_degrees(group) == (2,)
+
+    @pytest.mark.parametrize("spec,degrees", [
+        ("g70_70_2.json", (2, 70)),
+        ("cyclic70.json", (70,)),
+    ])
+    def test_degrees_above_64(self, spec, degrees):
+        # the series is read to t^(r + 1), r the reflection count, so no
+        # fixed bound cuts a degree off
+        group = group_from_spec(load_group_spec(Path(__file__).parent / "data" / spec))
+        assert invariant_degrees(group) == degrees
+
+    def test_no_recorded_reflections_is_rejected(self):
+        group = replace(sign_group()[0], reflection_indices=())
+        with pytest.raises(DegreeSearchFailed, match="no reflections recorded"):
+            invariant_degrees(group)
 
     def test_series_head_rank_three(self):
         # G(2,1,3) = B3 over Q: 1/((1-t^2)(1-t^4)(1-t^6)) through the 3x3
@@ -232,7 +249,7 @@ class TestCatalog:
     def test_catalog_degrees_match_molien(self):
         for name in catalog_names():
             group, inv = catalog(name)
-            assert tuple(sorted(inv.degrees)) == invariant_degrees(group, max_degree=16)
+            assert tuple(sorted(inv.degrees)) == invariant_degrees(group)
 
     def test_lookup_is_cached(self):
         a = catalog_lookup("G4")

@@ -4,6 +4,7 @@ import pytest
 
 from reflconn.cyclo import CycloNum
 from reflconn.groups import parse_matrix
+from reflconn.invariants import catalog_names
 from reflconn.linalg import (
     InconsistentSystem,
     UnderdeterminedSystem,
@@ -17,7 +18,7 @@ from reflconn.linalg import (
     solve_unique,
 )
 
-from conftest import px
+from conftest import derived_pipeline, pipeline, px
 
 
 def scalar(s):
@@ -176,3 +177,34 @@ class TestEchelonAndSolve:
         rows = [[scalar("1"), scalar("1")]]
         with pytest.raises(UnderdeterminedSystem):
             solve_unique(rows, [[scalar("1")], [scalar("2")]])
+
+
+# the catalog groups on their own invariants, the rank-3 groups on Reynolds
+# invariants
+JACOBIAN_GROUPS = [*catalog_names(), "G(2,1,3)", "G(3,3,3)"]
+
+
+def _group_and_jacobian(name):
+    group, _, jd, *_ = pipeline(name) if name in catalog_names() else derived_pipeline(name)
+    return group, jd
+
+
+class TestOneExpansion:
+    @pytest.mark.parametrize("name", JACOBIAN_GROUPS)
+    def test_jacobian_det_read_off_adjugate(self, name):
+        _, jd = _group_and_jacobian(name)
+        assert jd.det == det(jd.jac)
+
+    @pytest.mark.parametrize("name", JACOBIAN_GROUPS)
+    def test_polynomial_times_scalar_matches_running_sum(self, name):
+        group, jd = _group_and_jacobian(name)
+        n = len(jd.jac)
+        for gen in group.generators():
+            expected = tuple(
+                tuple(
+                    sum((jd.jac[i][t] * gen[t][j] for t in range(1, n)), jd.jac[i][0] * gen[0][j])
+                    for j in range(n)
+                )
+                for i in range(n)
+            )
+            assert mat_mul(jd.jac, gen) == expected

@@ -175,6 +175,16 @@ class TestCli:
                 for c in range(2):
                     assert old.matrices[ell][r][c] == new.matrices[ell][r][c]
 
+    @pytest.mark.parametrize("spec", ["g70_70_2.json", "cyclic70.json"])
+    def test_degree_above_64_from_spec_file(self, tmp_path, spec):
+        # no invariants in the spec: a degree of 70 comes from the Molien series
+        out_file = tmp_path / "system.json"
+        assert main([
+            "compute", "--spec-file", str(Path(__file__).parent / "data" / spec),
+            "--format", "json", "--out", str(out_file),
+        ]) == 0
+        assert main(["verify", str(out_file)]) == 0
+
     def test_verify_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/system.json"]) == 2
 
