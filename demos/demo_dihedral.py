@@ -28,7 +28,7 @@ def main():
     for k, phi in enumerate(inv.phis):
         print(f"  z{k + 1} = {readable_poly(phi)}  (degree {inv.degrees[k]})")
 
-    jd = jacobian(inv, det_char_order=group.det_char_order)
+    jd = jacobian(inv)
     print("\nJacobian of the invariants:")
     for row in jd.jac:
         print("  [ " + " , ".join(str(e) for e in row) + " ]")

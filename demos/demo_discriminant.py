@@ -32,7 +32,7 @@ G313_GENERATORS = (
 
 def show(name, group, inv):
     t0 = time.perf_counter()
-    jd = jacobian(inv, det_char_order=group.det_char_order)
+    jd = jacobian(inv)
     sc = scaled_connection(jd, group=group)
     cs = connection_in_z(sc, inv)
     elapsed = time.perf_counter() - t0

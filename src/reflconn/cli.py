@@ -63,7 +63,7 @@ def cmd_list(args) -> int:
 def cmd_compute(args) -> int:
     name, group, catalog_inv = _resolve_group(args)
     phi = _pick_invariants(args, group, catalog_inv)
-    jd = jacobian(phi, det_char_order=group.det_char_order)
+    jd = jacobian(phi)
     try:
         sc = scaled_connection(jd, group=group)
     except NonInvariantEntry as exc:

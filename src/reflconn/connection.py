@@ -206,6 +206,6 @@ def connection_in_z(sc: ScaledConnection, phi: InvariantTuple) -> ConnectionSyst
 
 def build_system(group: GroupData, phi: InvariantTuple) -> ConnectionSystem:
     """Full pipeline from a validated group and invariants to the z-system."""
-    jd = jacobian(phi, det_char_order=group.det_char_order)
+    jd = jacobian(phi)
     sc = scaled_connection(jd, group=group)
     return connection_in_z(sc, phi)

@@ -206,10 +206,11 @@ def is_matrix(value, rank: int, is_entry) -> bool:
 def group_from_spec(spec: dict) -> GroupData:
     """Build and validate a group from the JSON group-specification format.
 
-    Expected keys: name, conductor, rank, generators (list of matrices,
-    each a list of rows of scalar strings); optional cap.
+    Required keys: conductor, rank, generators (list of matrices, each a
+    list of rows of scalar strings); optional name and cap.  A missing
+    required key raises InvalidSpec.
     """
-    conductor = spec.get("conductor", 12)
+    conductor = spec.get("conductor")
     rank = spec.get("rank")
     generators = spec.get("generators")
     if not is_positive_int(conductor):

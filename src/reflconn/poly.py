@@ -484,9 +484,7 @@ class RatFun:
 
     def __str__(self):
         if self.is_polynomial():
-            c = self.den.coefficient((0,) * self.den.nvars)
-            p = self.num * c.inverse()
-            return str(p)
+            return str(self.num)
         return f"({self.num})/({self.den})"
 
 

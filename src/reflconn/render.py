@@ -10,43 +10,30 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 
 from .connection import ConnectionSystem
 from .cyclo import CycloNum, signed_sum, zeta_power
 from .errors import DenominatorMismatch, InvalidSpec, NotDivisible
 from .groups import is_matrix, is_positive_int
 from .invariants import InvariantTuple
-from .linalg import mat_inverse
 from .parsing import parse_expr
 from .poly import MPoly, RatFun
 
 
 # -- readable coefficients ---------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _readable_basis_inverse():
-    """Inverse of the matrix whose columns are 1, i, sqrt(3), i*sqrt(3)
-    written in the zeta_12 basis, as rationals."""
-    z = CycloNum.zeta(12)
-    i = z ** 3
-    sqrt3 = z + z ** 11
-    basis = [CycloNum.one(12), i, sqrt3, i * sqrt3]
-    # over Q, i.e. conductor-1 cyclotomic numbers
-    rows = [[CycloNum.from_rational(b.coeffs[k], 1) for b in basis] for k in range(4)]
-    return tuple(tuple(e.rational_value() for e in row) for row in mat_inverse(rows))
-
-
 def to_readable_basis(c: CycloNum):
     """Coordinates (a, b, s, t) with c = a + b*i + s*sqrt(3) + t*i*sqrt(3).
 
     Returns None unless the conductor is 12, where these four numbers are
-    a basis over Q.
+    a basis over Q.  With zeta = (sqrt(3) + i)/2, zeta^2 = (1 + i*sqrt(3))/2
+    and zeta^3 = i, c = a0 + a1*zeta + a2*zeta^2 + a3*zeta^3 has
+    coordinates (a0 + a2/2, a1/2 + a3, a1/2, a2/2).
     """
     if c.conductor != 12:
         return None
-    coeffs = c.coeffs
-    return tuple(sum(a * q for a, q in zip(row, coeffs)) for row in _readable_basis_inverse())
+    a0, a1, a2, a3 = c.coeffs
+    return (a0 + a2 / 2, a1 / 2 + a3, a1 / 2, a2 / 2)
 
 
 # the names of 1, i, sqrt(3), i*sqrt(3) in text (False) and LaTeX (True)
@@ -115,9 +102,7 @@ def readable_poly(p: MPoly, latex: bool = False) -> str:
 
 def readable_ratfun(r: RatFun, latex: bool = False) -> str:
     if r.is_polynomial():
-        scale = r.den.coefficient((0,) * r.den.nvars)
-        p = r.num * scale.inverse()
-        return readable_poly(p, latex)
+        return readable_poly(r.num, latex)
     if latex:
         return rf"\frac{{{readable_poly(r.num, True)}}}{{{readable_poly(r.den, True)}}}"
     return f"({readable_poly(r.num)}) / ({readable_poly(r.den)})"

@@ -4,6 +4,11 @@ Every check is a polynomial identity over Q(zeta_N); a pass is a
 proof-grade certificate, with no tolerances anywhere.  Checking only the
 group generators suffices for (equi)variance because the action is a
 group action.
+
+Each check is one witness function, recorded and timed by
+VerificationReport.check: it returns "" for a pass and otherwise the text
+that names where the identity fails, so a check fails exactly when it
+names a witness.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .cyclo import CycloNum
@@ -28,17 +34,24 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     witness: str = ""
     seconds: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return not self.witness
 
 
 @dataclass
 class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, witness: str = "", seconds: float = 0.0):
-        self.checks.append(CheckResult(name, passed, witness, seconds))
+    def check(self, name: str, witness_of) -> None:
+        """Time witness_of(), which returns "" for a pass and the witness
+        text otherwise, and record the result under name."""
+        t0 = time.perf_counter()
+        witness = witness_of()
+        self.checks.append(CheckResult(name, witness, time.perf_counter() - t0))
 
     @property
     def all_passed(self) -> bool:
@@ -92,17 +105,12 @@ def check_equivariance(jd: JacobianData, group: GroupData) -> VerificationReport
     """gamma_M(J) == J * M entrywise for every generator."""
     report = VerificationReport()
     for gi, gen in enumerate(group.generators()):
-        t0 = time.perf_counter()
-        lhs = ((e.substitute_linear(gen) for e in row) for row in jd.jac)
-        where = _first_mismatch(lhs, mat_mul(jd.jac, gen))
-        ok = not where
-        witness = f"generator {gi}, {where}" if where else ""
-        report.add(
-            f"jacobian_equivariance[gen {gi}]",
-            ok,
-            witness,
-            time.perf_counter() - t0,
-        )
+        def witness():
+            lhs = ((e.substitute_linear(gen) for e in row) for row in jd.jac)
+            where = _first_mismatch(lhs, mat_mul(jd.jac, gen))
+            return where and f"generator {gi}, {where}"
+
+        report.check(f"jacobian_equivariance[gen {gi}]", witness)
     return report
 
 
@@ -110,13 +118,10 @@ def check_determinant_character(jd: JacobianData, group: GroupData) -> Verificat
     """gamma_M(D) == det(M) * D for every generator."""
     report = VerificationReport()
     for gi, gen in enumerate(group.generators()):
-        t0 = time.perf_counter()
-        ok = jd.det.substitute_linear(gen) == jd.det * det(gen)
-        report.add(
+        report.check(
             f"det_relative_invariance[gen {gi}]",
-            ok,
-            "" if ok else f"generator {gi}",
-            time.perf_counter() - t0,
+            lambda: "" if jd.det.substitute_linear(gen) == jd.det * det(gen)
+            else f"generator {gi}",
         )
     return report
 
@@ -142,29 +147,27 @@ def check_integrability(cs: ConnectionSystem) -> VerificationReport:
     dq = [q.partial(k + 1) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            t0 = time.perf_counter()
-            pi, pj = cs.numerators[i], cs.numerators[j]
-            where = next(
-                (
-                    f"entry ({r + 1},{c + 1})"
-                    for r in range(n)
-                    for c in range(n)
-                    if MPoly.sum_of_products([
-                        (1, q, pj[r][c].partial(i + 1)),
-                        (-1, q, pi[r][c].partial(j + 1)),
-                        (-1, pj[r][c], dq[i]),
-                        (1, pi[r][c], dq[j]),
-                        *((-1, pi[r][t], pj[t][c]) for t in range(n)),
-                        *((1, pj[r][t], pi[t][c]) for t in range(n)),
-                    ])
-                ),
-                "",
-            )
-            ok = not where
-            witness = f"pair ({i + 1},{j + 1}), {where}" if where else ""
-            report.add(
-                f"integrability[{i + 1},{j + 1}]", ok, witness, time.perf_counter() - t0
-            )
+            def witness():
+                pi, pj = cs.numerators[i], cs.numerators[j]
+                where = next(
+                    (
+                        f"entry ({r + 1},{c + 1})"
+                        for r in range(n)
+                        for c in range(n)
+                        if MPoly.sum_of_products([
+                            (1, q, pj[r][c].partial(i + 1)),
+                            (-1, q, pi[r][c].partial(j + 1)),
+                            (-1, pj[r][c], dq[i]),
+                            (1, pi[r][c], dq[j]),
+                            *((-1, pi[r][t], pj[t][c]) for t in range(n)),
+                            *((1, pj[r][t], pi[t][c]) for t in range(n)),
+                        ])
+                    ),
+                    "",
+                )
+                return where and f"pair ({i + 1},{j + 1}), {where}"
+
+            report.check(f"integrability[{i + 1},{j + 1}]", witness)
     return report
 
 
@@ -173,11 +176,11 @@ def cross_validate(
 ) -> VerificationReport:
     """Substitute z := phi(x) into the z-form and compare with the x-form.
 
-    q(phi) == Delta is checked once, then for each entry the numerator
-    composed with phi against Omega_l as polynomials, and the reduced
-    display entry against numerator / q in z.  Composition with
-    algebraically independent phi is injective, so this ties the numerators
-    that check_integrability certifies, and the display form, to
+    q(phi) == Delta is checked once, within the time of A_1, then for each
+    entry the numerator composed with phi against Omega_l as polynomials,
+    and the reduced display entry against numerator / q in z.  Composition
+    with algebraically independent phi is injective, so this ties the
+    numerators that check_integrability certifies, and the display form, to
     Omega_l / Delta.
     Every substitution is Rewriter.compose on a Rewriter made here, so the
     products phi^e are built once per call and none is taken from the
@@ -186,22 +189,20 @@ def cross_validate(
     report = VerificationReport()
     rewriter = Rewriter(phi)
     q = cs.denominator
-    t0 = time.perf_counter()  # the denominator check is timed with A_1
-    den_ok = rewriter.compose(q) == sc.discriminant
+    den_ok = cache(lambda: rewriter.compose(q) == sc.discriminant)
     for ell in range(cs.rank):
-        num = cs.numerators[ell]
-        where = "denominator"
-        if den_ok:
-            display = ((RatFun(e, q) for e in row) for row in num)
-            composed = ((rewriter.compose(e) for e in row) for row in num)
-            where = _first_mismatch(cs.matrices[ell], display) or _first_mismatch(
-                composed, sc.numerators[ell]
-            )
-        witness = f"A_{ell + 1} {where}" if where else ""
-        report.add(
-            f"cross_validation[A_{ell + 1}]", not where, witness, time.perf_counter() - t0
-        )
-        t0 = time.perf_counter()
+        def witness():
+            num = cs.numerators[ell]
+            where = "denominator"
+            if den_ok():
+                display = ((RatFun(e, q) for e in row) for row in num)
+                composed = ((rewriter.compose(e) for e in row) for row in num)
+                where = _first_mismatch(cs.matrices[ell], display) or _first_mismatch(
+                    composed, sc.numerators[ell]
+                )
+            return where and f"A_{ell + 1} {where}"
+
+        report.check(f"cross_validation[A_{ell + 1}]", witness)
     return report
 
 
@@ -237,34 +238,36 @@ def full_report(
     report = VerificationReport(list(sc.checks))
     for sub in (check_integrability(cs), cross_validate(cs, sc, phi)):
         report.checks.extend(sub.checks)
-    t0 = time.perf_counter()
-    inv_ok = all(check_invariance(p, group) for p in phi.phis)
-    report.add("invariants_fixed_by_generators", inv_ok, "", time.perf_counter() - t0)
+    report.check("invariants_fixed_by_generators", lambda: next(
+        (f"invariant {k + 1}" for k, p in enumerate(phi.phis) if not check_invariance(p, group)),
+        "",
+    ))
     prod = math.prod(phi.degrees)
-    witness = "" if prod == group.order else f"degree product {prod}, |G| = {group.order}"
-    report.add("degree_product_equals_order", not witness, witness)
+    report.check("degree_product_equals_order", lambda: "" if prod == group.order else (
+        f"degree product {prod}, |G| = {group.order}"
+    ))
     degree_sum = sum(d - 1 for d in phi.degrees)
     reflections, det_degree = len(group.reflection_indices), jd.det.total_degree()
-    witness = "" if reflections == det_degree == degree_sum else (
+    report.check("reflection_count", lambda: "" if reflections == det_degree == degree_sum else (
         f"sum of d_i - 1 = {degree_sum}, {reflections} reflections, "
         f"deg det J = {det_degree}"
-    )
-    report.add("reflection_count", not witness, witness)
-    t0 = time.perf_counter()
-    model = phi.phis[0]
-    xs = [
-        MPoly.variable(j + 1, model.alphabet, model.nvars, model.conductor)
-        for j in range(model.nvars)
-    ]
-    one = CycloNum.one(model.conductor)
-    bad = next(
-        (
-            i
-            for i, (row, p, d) in enumerate(zip(jd.jac, phi.phis, phi.degrees))
-            if MPoly.sum_of_products([(1, x, e) for x, e in zip(xs, row)] + [(-d, one, p)])
-        ),
-        None,
-    )
-    witness = "" if bad is None else f"invariant {bad + 1}"
-    report.add("euler_identity", bad is None, witness, time.perf_counter() - t0)
+    ))
+
+    def euler_identity():
+        model = phi.phis[0]
+        xs = [
+            MPoly.variable(j + 1, model.alphabet, model.nvars, model.conductor)
+            for j in range(model.nvars)
+        ]
+        one = CycloNum.one(model.conductor)
+        return next(
+            (
+                f"invariant {i + 1}"
+                for i, (row, p, d) in enumerate(zip(jd.jac, phi.phis, phi.degrees))
+                if MPoly.sum_of_products([(1, x, e) for x, e in zip(xs, row)] + [(-d, one, p)])
+            ),
+            "",
+        )
+
+    report.check("euler_identity", euler_identity)
     return report

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reflconn
 from reflconn.cli import main
@@ -43,6 +45,17 @@ class TestReadableBasis:
         z = CycloNum.zeta(12)
         v = 2 + 3 * z ** 3 - (z ** 2 + z ** 4)
         assert to_readable_basis(v) == (2, 3, 0, -1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=30), min_size=4, max_size=4))
+    def test_coordinates_rebuild_the_value(self, coeffs):
+        z = CycloNum.zeta(12)
+        c = CycloNum.zero(12)
+        for k, q in enumerate(coeffs):
+            c = c + CycloNum.from_rational(q, 12) * z ** k
+        a, b, s, t = (CycloNum.from_rational(q, 12) for q in to_readable_basis(c))
+        i, sqrt3 = z ** 3, z + z ** 11
+        assert a + b * i + s * sqrt3 + t * i * sqrt3 == c
 
     def test_readable_poly_uses_i_sqrt3(self):
         f = px("x1^4 + (-2 + 4*zeta^2)*x1^2*x2^2 + x2^4")
@@ -319,6 +332,8 @@ BAD_INPUTS = {
     "conductor_zero": (
         ["compute"], dict(name="c0", conductor=0, rank=1, generators=[[["-1"]]])
     ),
+    # zeta is zeta_5 to the writer, but nothing says so
+    "conductor_missing": (["compute"], dict(rank=1, generators=[[["zeta"]]])),
     "rank_mismatch": (
         ["compute"],
         dict(name="bad", conductor=12, rank=3, generators=[[["0", "1"], ["1", "0"]]]),

@@ -6,7 +6,7 @@ import pytest
 
 from reflconn.connection import build_system
 from reflconn.errors import DenominatorMismatch
-from reflconn.invariants import fundamental_invariants
+from reflconn.invariants import InvariantTuple, catalog_names, fundamental_invariants
 from reflconn.linalg import mat_mul, mat_sub
 from reflconn.poly import MPoly
 from reflconn.verify import (
@@ -19,7 +19,7 @@ from reflconn.verify import (
     full_report,
 )
 
-from conftest import catalog, pipeline, px, pz, rank3_group
+from conftest import catalog, derived_pipeline, pipeline, px, pz, rank3_group
 
 
 def _flip_sign(matrices, ell, r, c):
@@ -213,8 +213,9 @@ class TestReport:
 
     def test_witness_preserved(self):
         r = VerificationReport()
-        r.add("demo", False, witness="entry (2,2)")
+        r.check("demo", lambda: "entry (2,2)")
         assert not r.all_passed
+        assert r.failures()[0].witness == "entry (2,2)"
         assert "witness: entry (2,2)" in r.render()
         assert "[FAIL] demo" in r.render()
 
@@ -251,6 +252,29 @@ class TestReportOrder:
         assert [(c.name, c.witness) for c in report.failures()] == [
             ("reflection_count", "sum of d_i - 1 = 8, 7 reflections, deg det J = 8"),
         ]
+
+    def test_non_invariant_phi_names_its_index(self):
+        group, inv, jd, sc, cs = pipeline("G4")
+        bogus = InvariantTuple(
+            phis=(inv.phis[0], px("x1^6 + x2^6")), degrees=(4, 6), source="catalog"
+        )
+        report = full_report(group, bogus, jd, sc, cs)
+        assert [(c.name, c.witness) for c in report.failures()] == [
+            ("cross_validation[A_1]", "A_1 denominator"),
+            ("cross_validation[A_2]", "A_2 denominator"),
+            ("invariants_fixed_by_generators", "invariant 2"),
+            ("euler_identity", "invariant 2"),
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["G(2,1,2)", "G4", "G5", "G6", "G7", "G(2,1,3)", "G(3,3,3)"]
+    )
+    def test_every_check_of_an_honest_system_has_an_empty_witness(self, name):
+        group, inv, jd, sc, cs = (
+            pipeline(name) if name in catalog_names() else derived_pipeline(name)
+        )
+        checks = full_report(group, inv, jd, sc, cs).checks
+        assert [c.witness for c in checks] == [""] * len(checks)
 
     def test_full_report_refuses_scaled_connection_without_checks(self):
         group, inv, jd, sc, cs = pipeline("G4")
