@@ -18,8 +18,10 @@ ch. 6), so with E = prod_H alpha_H^(e_H - 2)
     A_l = Omega_l / Delta,   Delta = D^2 / E,   Omega_l = R_l / E,
 
 two exact divisions, skipped when every e_H = 2 (then E = 1).  Delta and
-every entry of Omega_l are invariant homogeneous polynomials and are
-rewritten in the invariant coordinates z.
+every entry of Omega_l are invariant polynomials and are rewritten in the
+invariant coordinates z.  The invariants phi_k are homogeneous of degrees
+d_k, so each entry's degree is fixed: entry (r,c) of Omega_l is homogeneous
+of degree deg Delta + d_r - d_l - d_c.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import NonInvariantEntry, SingularJacobian
+from .errors import NonHomogeneousInput, NonInvariantEntry, SingularJacobian
 from .groups import GroupData, hyperplanes
 from .invariants import InvariantTuple
 from .linalg import adjugate, mat_mul
@@ -41,7 +43,6 @@ class JacobianData:
     jac: tuple[tuple[MPoly, ...], ...]  # row i = gradient of phi_i
     adj: tuple[tuple[MPoly, ...], ...]
     det: MPoly
-    degrees: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,16 @@ class ConnectionSystem:
 def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
     """The Jacobian of the invariants, its adjugate and determinant.
 
-    D is read off the adjugate's first column, D = (J * adj)[0][0], so one
-    Laplace expansion serves both.  det_char_order is accepted and unused:
+    Each phi_k must be homogeneous of its stated degree phi.degrees[k], else
+    NonHomogeneousInput names invariant k (counted from 1).  D is read off
+    the adjugate's first column, D = (J * adj)[0][0], so one Laplace
+    expansion serves both.  det_char_order is accepted and unused:
     no power of D depends on it.
     """
     n = len(phi.phis)
+    for k, (p, d) in enumerate(zip(phi.phis, phi.degrees, strict=True), 1):
+        if not p.is_homogeneous() or p.total_degree() != d:
+            raise NonHomogeneousInput(f"invariant {k} is not homogeneous of degree {d}")
     jac = tuple(
         tuple(p.partial(j + 1) for j in range(n)) for p in phi.phis
     )
@@ -85,7 +91,7 @@ def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
     d = MPoly.sum_of_products([(1, x, adj[j][0]) for j, x in enumerate(jac[0])])
     if not d:
         raise SingularJacobian("invariants are algebraically dependent")
-    return JacobianData(jac=jac, adj=adj, det=d, degrees=phi.degrees)
+    return JacobianData(jac=jac, adj=adj, det=d)
 
 
 def delta_apply(ell: int, f: MPoly, jd: JacobianData) -> RatFun:
@@ -107,8 +113,7 @@ def _excess(group: GroupData) -> MPoly | None:
 def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     """Numerator matrices Omega_l over the discriminant Delta, fully polynomial.
 
-    Every entry is checked to be homogeneous of the predicted degree.  The
-    Jacobian equivariance and determinant-character checks of `verify` run
+    The Jacobian equivariance and determinant-character checks of `verify` run
     once here; together they imply that D^2 and every entry of R_l are
     relatively invariant, and the rewrite of Delta and Omega_l into z checks
     their invariance exactly.  The check results are kept on the returned
@@ -132,8 +137,6 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     discriminant = jd.det * jd.det
     if excess is not None:
         discriminant = discriminant.exact_div(excess)
-    degs = jd.degrees
-    delta_degree = discriminant.total_degree()
     numerators = []
     for ell in range(n):
         # R_l = (sum_i adj_{i,ell} * dJ/dx_i) * adj, then Omega_l = R_l / E
@@ -147,21 +150,6 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
         p = mat_mul(acc, jd.adj)
         if excess is not None:
             p = tuple(tuple(e.exact_div(excess) for e in row) for row in p)
-        for r in range(n):
-            for c in range(n):
-                entry = p[r][c]
-                if entry.is_zero():
-                    continue
-                if not entry.is_homogeneous():
-                    raise NonInvariantEntry(
-                        f"entry ({r + 1},{c + 1}) of Omega_{ell + 1} is not homogeneous"
-                    )
-                expected = degs[r] - degs[ell] - degs[c] + delta_degree
-                if entry.total_degree() != expected:
-                    raise NonInvariantEntry(
-                        f"entry ({r + 1},{c + 1}) of Omega_{ell + 1} has degree "
-                        f"{entry.total_degree()}, expected {expected}"
-                    )
         numerators.append(p)
     return ScaledConnection(
         numerators=tuple(numerators), discriminant=discriminant, checks=checks

@@ -274,7 +274,6 @@ def _canonical(conductor: int, nums, den: int) -> CycloNum:
     obj.conductor = conductor
     obj._num = tuple(nums)
     obj._den = den
-    obj._hash = None
     return obj
 
 
@@ -286,7 +285,7 @@ class CycloNum:
     a tuple of Fractions.
     """
 
-    __slots__ = ("conductor", "_num", "_den", "_hash")
+    __slots__ = ("conductor", "_num", "_den")
 
     def __init__(self, conductor: int, coeffs) -> None:
         d = len(cyclotomic_coeffs(conductor)) - 1
@@ -297,7 +296,6 @@ class CycloNum:
         self.conductor = conductor
         self._num = tuple(nums)
         self._den = den
-        self._hash = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -519,9 +517,7 @@ class CycloNum:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.conductor, self._num, self._den))
-        return self._hash
+        return hash((self.conductor, self._num, self._den))
 
     def __repr__(self) -> str:
         return f"CycloNum({self.conductor}, {self})"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInvariant
+from .errors import IndependenceSearchFailed, NotInvariant
 from .invariants import InvariantTuple
 from .linalg import identity_matrix, solve_unique
 from .poly import MPoly, grlex_key, require_homogeneous, top_reduce, weighted_exponents
@@ -98,7 +98,7 @@ class Rewriter:
         for p in products:
             p = top_reduce(p, reduced)
             if not p:
-                raise AssertionError(
+                raise IndependenceSearchFailed(
                     "rewriting products are linearly dependent; invariants are dependent"
                 )
             reduced[p.leading_term()[0]] = p

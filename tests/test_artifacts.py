@@ -7,10 +7,12 @@ change of the program's output.
 
 import functools
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from reflconn.connection import connection_in_z, jacobian, scaled_connection
+from reflconn.groups import group_from_spec, load_group_spec
 from reflconn.invariants import fundamental_invariants
 from reflconn.render import render_json, render_latex, render_text
 from reflconn.verify import full_report
@@ -146,3 +148,30 @@ def test_extra_artifacts_are_pinned(name):
     group, phi, jd, sc, cs = derived_pipeline(name)
     assert full_report(group, phi, jd, sc, cs).all_passed
     assert _sha256(render_json(cs, name, group.conductor)) == EXTRA_JSON_SHA256[name]
+
+
+# (json, text, latex) of `reflconn compute --spec-file tests/data/g2_1_2_zeta5.json`:
+# G(2,1,2) over Q(zeta_5), whose Reynolds invariants carry zeta, zeta^2 and
+# zeta^3, so the printer's powers-of-zeta branch runs at a conductor other than 12
+ZETA5_SHA256 = (
+    "bfc72122497819c923cd53fbcbfb18d9613cd69c3cd69af045894fb2cc9ca640",
+    "8cbbccd31455510c1fc926ebdd380ded7fee216a3f66e47bf27f988340907a16",
+    "44e1022ba3dd9077512d5f4f993aa1207c141e01264e78f3b744dee8d471efef",
+)
+
+
+def test_zeta5_artifacts_are_pinned():
+    spec = load_group_spec(str(Path(__file__).parent / "data" / "g2_1_2_zeta5.json"))
+    group = group_from_spec(spec)
+    phi = fundamental_invariants(group)
+    jd = jacobian(phi)
+    sc = scaled_connection(jd, group=group)
+    cs = connection_in_z(sc, phi)
+    assert full_report(group, phi, jd, sc, cs).all_passed
+    name = spec["name"]
+    latex = render_latex(cs, name)
+    assert all(z in latex for z in (r"\zeta{}", r"\zeta^{2}", r"\zeta^{3}"))
+    json_sha, text_sha, latex_sha = ZETA5_SHA256
+    assert _sha256(render_json(cs, name, group.conductor)) == json_sha
+    assert _sha256(render_text(cs, name)) == text_sha
+    assert _sha256(latex) == latex_sha

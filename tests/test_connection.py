@@ -11,7 +11,7 @@ from reflconn.connection import (
     jacobian,
     scaled_connection,
 )
-from reflconn.errors import NonInvariantEntry, SingularJacobian
+from reflconn.errors import NonHomogeneousInput, NonInvariantEntry, SingularJacobian
 from reflconn.groups import hyperplanes
 from reflconn.invariants import InvariantTuple
 from reflconn.poly import MPoly, RatFun
@@ -104,6 +104,14 @@ class TestJacobian:
         with pytest.raises(SingularJacobian):
             jacobian(inv)
 
+    def test_non_homogeneous_invariant_rejected(self):
+        # x1^2*x2^2 is homogeneous, but of degree 4, not the stated 6
+        inv = InvariantTuple(
+            phis=(px("x1^2 + x2^2"), px("x1^2*x2^2")), degrees=(2, 6), source="catalog"
+        )
+        with pytest.raises(NonHomogeneousInput, match="invariant 2 "):
+            jacobian(inv)
+
     def test_det_degree_is_reflection_count(self):
         for name in ("G(2,1,2)", "G4", "G5", "G6", "G7"):
             group, _, jd, _, _ = pipeline(name)
@@ -138,18 +146,18 @@ class TestDelta:
 
 
 class TestScaledConnection:
-    def test_entries_homogeneous_of_predicted_degree(self):
-        group, inv, jd, sc, _ = pipeline("G(2,1,2)")
-        refl = len(group.reflection_indices)
-        degs = inv.degrees
-        for ell in range(2):
-            for r in range(2):
-                for c in range(2):
+    @pytest.mark.parametrize("name", CATALOG + ("G(3,1,3)",))
+    def test_entries_homogeneous_of_predicted_degree(self, name):
+        _, inv, _, sc, _ = any_pipeline(name)
+        n, degs = len(inv.phis), inv.degrees
+        delta_degree = sc.discriminant.total_degree()
+        for ell in range(n):
+            for r in range(n):
+                for c in range(n):
                     e = sc.numerators[ell][r][c]
                     if e.is_zero():
                         continue
-                    # G(2,1,2) has every e_H = 2, so Delta = D^2
-                    expected = degs[r] - degs[ell] - degs[c] + 2 * refl
+                    expected = degs[r] - degs[ell] - degs[c] + delta_degree
                     assert e.is_homogeneous()
                     assert e.total_degree() == expected
 

@@ -292,6 +292,17 @@ class TestCli:
         assert ("check jacobian_equivariance[gen 1] failed, "
                 "witness: generator 1, entry (1,1)") in captured.err
 
+    def test_rewrite_with_non_homogeneous_invariant_exits_2(self, tmp_path, capsys):
+        # x1^4 + x2^4 = phi_1^2 - 2*phi_2 + 2*phi_1 in these invariants, but
+        # phi_2 is not homogeneous, so the invariants are rejected first
+        spec = BAD_INPUTS["invariant_not_homogeneous"][1]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["rewrite", "x1^4 + x2^4", "--spec-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NonHomogeneousInput: invariant 2 " in captured.err
+
     def test_cap_flag(self, capsys):
         assert main(["compute", "--group", "G(2,1,2)", "--cap", "4"]) == 2
         assert "CapExceeded" in capsys.readouterr().err
@@ -388,6 +399,15 @@ BAD_INPUTS = {
             name="G(2,1,2)", conductor=1, rank=2,
             generators=[[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
             invariants=["x1^2 + x2^2", "x1^4 + 2*x1^2*x2^2 + x2^4"],
+        ),
+    ),
+    # invariant, but not homogeneous: caught by jacobian before any group check
+    "invariant_not_homogeneous": (
+        ["compute"],
+        dict(
+            conductor=1, rank=2,
+            generators=[[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+            invariants=["x1^2 + x2^2", "x1^2*x2^2 + x1^2 + x2^2"],
         ),
     ),
     "not_a_json_object": (["compute"], ["a", "list"]),
