@@ -1,5 +1,10 @@
-"""Fundamental invariants from scratch: Molien series and the Reynolds
-operator.
+"""Fundamental invariants from scratch: the invariant degrees and the
+Reynolds operator.
+
+The degrees d_i are read off the fixed spaces, sum over g of t^(dim V^g)
+= prod_i (t + d_i - 1); the Molien series printed here is
+prod_i 1/(1 - t^d_i) over them, which for a reflection group equals
+(1/|G|) * sum over g of 1/det(I - tg).
 
 The catalog stores known invariants, but nothing in the pipeline depends on
 them being *those* invariants.  Here we derive a fresh tuple for the

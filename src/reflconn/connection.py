@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import NonHomogeneousInput, NonInvariantEntry, SingularJacobian
+from .errors import NonInvariantEntry, SingularJacobian
 from .groups import GroupData, hyperplanes
 from .invariants import InvariantTuple
 from .linalg import adjugate, mat_mul
@@ -74,16 +74,14 @@ class ConnectionSystem:
 def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
     """The Jacobian of the invariants, its adjugate and determinant.
 
-    Each phi_k must be homogeneous of its stated degree phi.degrees[k], else
-    NonHomogeneousInput names invariant k (counted from 1).  D is read off
-    the adjugate's first column, D = (J * adj)[0][0], so one Laplace
+    There must be one invariant per variable, else ValueError.  D is read
+    off the adjugate's first column, D = (J * adj)[0][0], so one Laplace
     expansion serves both.  det_char_order is accepted and unused:
     no power of D depends on it.
     """
     n = len(phi.phis)
-    for k, (p, d) in enumerate(zip(phi.phis, phi.degrees, strict=True), 1):
-        if not p.is_homogeneous() or p.total_degree() != d:
-            raise NonHomogeneousInput(f"invariant {k} is not homogeneous of degree {d}")
+    if phi.phis[0].nvars != n:
+        raise ValueError(f"{n} invariants in {phi.phis[0].nvars} variables")
     jac = tuple(
         tuple(p.partial(j + 1) for j in range(n)) for p in phi.phis
     )

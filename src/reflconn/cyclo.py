@@ -221,36 +221,6 @@ def sum_of_products(n: int, triples) -> dict:
     return out
 
 
-def reciprocal_series_sum(n: int, weighted: dict, precision: int, divisor: int) -> list:
-    """(1/divisor) * sum of count / (1 + c_1 t + ... + c_r t^r), to t^(precision-1).
-
-    weighted maps each coefficient tuple (1, c_1, ..., c_r) of CycloNums to
-    its count.  Every c_j must be an algebraic integer: the power basis of
-    Q(zeta_n) is an integral basis, so c_j then has denominator 1, and each
-    reciprocal is the integer recurrence s_0 = 1, s_k = -sum_j c_j s_(k-j)
-    on numerator vectors.  The count-weighted recurrences are added up and
-    each coefficient is divided by divisor once.  Raises ValueError for a
-    constant term other than 1 or a coefficient that is not integral.
-    """
-    d = len(cyclotomic_coeffs(n)) - 1
-    totals = [[0] * d for _ in range(precision)]
-    for coeffs, count in weighted.items():
-        if coeffs[0] != 1 or any(c._den != 1 for c in coeffs):
-            raise ValueError(f"not 1 plus algebraic integers times powers of t: {coeffs}")
-        tail = [c._num for c in coeffs[1:]]
-        series = []
-        for k, total in enumerate(totals):
-            s = [int(k == 0)] + [0] * (d - 1)
-            for j, c in enumerate(tail[:k], 1):
-                if any(c):
-                    for i, x in enumerate(_mul_nums(n, c, series[k - j])):
-                        s[i] -= x
-            series.append(s)
-            for i, x in enumerate(s):
-                total[i] += count * x
-    return [_canonical(n, total, divisor) for total in totals]
-
-
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over the lcm of their denominators.
 

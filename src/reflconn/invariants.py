@@ -1,36 +1,45 @@
-"""Invariant theory: Reynolds operator, Molien-series degrees, fundamental
-invariants, and the built-in catalog of groups with known invariants."""
+"""Invariant theory: Reynolds operator, invariant degrees from the fixed
+spaces, fundamental invariants, and the built-in catalog of groups with
+known invariants."""
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
 
-from .cyclo import CycloNum, reciprocal_series_sum
+from .cyclo import CycloNum
 from .errors import (
     DegreeSearchFailed,
     IndependenceSearchFailed,
     InvalidSpec,
+    NonHomogeneousInput,
     UnknownGroup,
 )
 from .groups import GroupData, group_from_spec
-from .linalg import det as mat_det
+from .linalg import det as mat_det, identity_matrix, mat_rank, mat_sub
 from .parsing import parse_expr
 from .poly import MPoly, grlex_key, top_reduce, weighted_exponents
 
 
 @dataclass(frozen=True)
 class InvariantTuple:
-    """Homogeneous, algebraically independent generators of the invariant ring."""
+    """Homogeneous, algebraically independent generators of the invariant ring.
+
+    Each phi_k must be homogeneous of its stated degree degrees[k], else
+    NonHomogeneousInput names invariant k (counted from 1).
+    """
 
     phis: tuple[MPoly, ...]
     degrees: tuple[int, ...]
     source: str  # "catalog" or "reynolds"
+
+    def __post_init__(self) -> None:
+        for k, (p, d) in enumerate(zip(self.phis, self.degrees, strict=True), 1):
+            if not p.is_homogeneous() or p.total_degree() != d:
+                raise NonHomogeneousInput(f"invariant {k} is not homogeneous of degree {d}")
 
 
 def reynolds(f: MPoly, group: GroupData) -> MPoly:
@@ -45,88 +54,50 @@ def is_invariant(f: MPoly, group: GroupData) -> bool:
     return all(f.substitute_linear(m) == f for m in group.generators())
 
 
-# -- Molien series ----------------------------------------------------------
-
-def _char_poly_one_minus_tm(m):
-    """Coefficients (in t) of det(I - tM): the coefficient of t^k is (-1)^k
-    times the sum of the principal k x k minors of M."""
-    n = len(m)
-    coeffs = [CycloNum.one(m[0][0].conductor)]
-    for k in range(1, n + 1):
-        minors = sum(
-            mat_det([[m[i][j] for j in rows] for i in rows])
-            for rows in combinations(range(n), k)
-        )
-        coeffs.append(-minors if k % 2 else minors)
-    return tuple(coeffs)
-
-
-def molien_series(group: GroupData, precision: int):
-    """Truncated Molien series (1/|G|) * sum over M of 1/det(I - tM).
-
-    det(I - tM) depends only on the characteristic polynomial of M, so each
-    distinct polynomial is inverted once and weighted by its multiplicity.
-    M has finite order, so its eigenvalues are roots of unity and the
-    coefficients of det(I - tM), elementary symmetric functions of them,
-    are algebraic integers: over the integral basis 1, zeta, ...,
-    zeta^(phi(N)-1) they have denominator 1, and each inverse is an integer
-    recurrence (cyclo.reciprocal_series_sum).  A coefficient that is not
-    integral cannot come from a finite group and raises DegreeSearchFailed.
-    """
-    counts = Counter(_char_poly_one_minus_tm(m) for m in group.elements)
-    try:
-        return reciprocal_series_sum(group.conductor, counts, precision, group.order)
-    except ValueError:
-        raise DegreeSearchFailed(
-            "det(I - tM) has a coefficient that is not an algebraic integer, "
-            "which no element of a finite group gives"
-        ) from None
-
+# -- degrees ----------------------------------------------------------------
 
 def invariant_degrees(group: GroupData) -> tuple[int, ...]:
-    """Degrees of the fundamental invariants, read off the Molien series.
+    """Degrees of the fundamental invariants, read off the fixed spaces.
 
-    sum(d_i - 1) is the reflection count r (Kane, Reflection Groups and
-    Invariant Theory, section 18), so every degree is at most r + 1 and the
-    series is read to t^(r + 1).  Iteratively strips factors 1/(1 - t^d)
-    starting from the lowest nonconstant term; cross-checks the product
-    against the group order and the sum against r.
+    For a reflection group, sum over g of t^(dim V^g) = prod_i (t + d_i - 1)
+    with dim V^g = n - rank(g - I) (Shephard-Todd 1954; Solomon 1963).  The
+    exponents e_i = d_i - 1 sum to the t^(n-1) coefficient, the reflection
+    count, so each is found by synthetic division by t + e for e from 0 up
+    to it.  A polynomial that does not split that way raises
+    DegreeSearchFailed.
     """
-    reflections = len(group.reflection_indices)
-    if not reflections:
-        raise DegreeSearchFailed("no reflections recorded, so no bound on the degrees")
-    precision = reflections + 2
-    series = molien_series(group, precision)
+    n = group.rank
+    ident = identity_matrix(n, group.conductor)
+    counts = [0] * (n + 1)
+    for m in group.elements:
+        counts[n - mat_rank(mat_sub(m, ident))] += 1
+    coeffs = counts[::-1]  # leading coefficient first
     degrees = []
-    for _ in range(group.rank):
-        d = None
-        for k in range(1, precision):
-            if series[k]:
-                d = k
+    for e in range(counts[n - 1] + 1):
+        while len(coeffs) > 1:
+            quotient = [coeffs[0]]
+            for c in coeffs[1:]:
+                quotient.append(c - e * quotient[-1])
+            if quotient.pop():
                 break
-        if d is None:
-            raise DegreeSearchFailed(
-                f"no invariant degree found up to {precision - 1}"
-            )
-        degrees.append(d)
-        # multiply by (1 - t^d)
-        nxt = list(series)
-        for k in range(d, precision):
-            nxt[k] = nxt[k] - series[k - d]
-        series = nxt
-    if any(series[1:]):
-        raise DegreeSearchFailed("Molien series is not a product of n factors")
-    degrees.sort()
-    prod = 1
-    for d in degrees:
-        prod *= d
-    if prod != group.order:
+            coeffs = quotient
+            degrees.append(e + 1)
+    if len(degrees) != n:
         raise DegreeSearchFailed(
-            f"degree product {prod} does not match group order {group.order}"
+            f"sum of t^dim V^g has coefficients {counts} (constant term first), "
+            "not a product of n factors t + d - 1"
         )
-    if sum(d - 1 for d in degrees) != reflections:
-        raise DegreeSearchFailed("degree sum does not match reflection count")
     return tuple(degrees)
+
+
+def molien_series(group: GroupData, precision: int) -> list[CycloNum]:
+    """The Molien series to t^(precision - 1), prod_i 1/(1 - t^d_i) over the
+    degrees; for a reflection group the two agree (Chevalley)."""
+    series = [1] + [0] * (precision - 1)
+    for d in invariant_degrees(group):
+        for k in range(d, precision):
+            series[k] += series[k - d]
+    return [CycloNum.from_rational(c, group.conductor) for c in series]
 
 
 # -- fundamental invariants -------------------------------------------------
@@ -135,7 +106,7 @@ def fundamental_invariants(group: GroupData) -> InvariantTuple:
     """Reynolds-derived fundamental invariants, picked degree by degree
     modulo the decomposables.
 
-    At each Molien degree d, in ascending order, the degree-d products of
+    At each invariant degree d, in ascending order, the degree-d products of
     the invariants already picked are top-reduced into a span; the Reynolds
     images of the degree-d monomials, in grlex order, are kept while they do
     not top-reduce to zero against it, each adding its remainder, until as

@@ -3,7 +3,7 @@
 Determinant and adjugate are generic Laplace expansions over any ring whose
 entries sum products in one accumulation, CycloNum scalars and MPoly
 polynomials alike: they serve the Jacobian over MPoly and the scalar
-principal minors of the Molien series.  Each entry of a matrix product and
+determinants of group elements.  Each entry of a matrix product and
 each level of a Laplace expansion is one call to the entries' class's
 sum_of_products.  mat_inverse serves the group action f(x) -> f(x * M^{-T}).
 Row reduction and solving are restricted to CycloNum, where every nonzero

@@ -65,8 +65,9 @@ RANK3_GENERATORS = {
 }
 
 
-# Groups whose derived invariants are pinned beyond the benchmark's: the
-# transpositions, then diag(zeta, 1, ...) for G(m,1,n) over Q(zeta_m).
+# Groups whose derived invariants or degrees are pinned beyond the
+# benchmark's: the transpositions, then diag(zeta, 1, ...) for G(m,1,n) over
+# Q(zeta_m), diag(-1, 1, ...) over Q for m = 2.
 EXTRA_GENERATORS = {
     "G(4,1,2)": (4, (
         [["0", "1"], ["1", "0"]],
@@ -76,6 +77,12 @@ EXTRA_GENERATORS = {
         [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
         [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
         [["zeta", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    )),
+    "G(2,1,4)": (1, (
+        [["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        [["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"]],
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "1", "0"]],
+        [["-1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
     )),
 }
 

@@ -106,10 +106,19 @@ class TestJacobian:
 
     def test_non_homogeneous_invariant_rejected(self):
         # x1^2*x2^2 is homogeneous, but of degree 4, not the stated 6
-        inv = InvariantTuple(
-            phis=(px("x1^2 + x2^2"), px("x1^2*x2^2")), degrees=(2, 6), source="catalog"
-        )
         with pytest.raises(NonHomogeneousInput, match="invariant 2 "):
+            jacobian(InvariantTuple(
+                phis=(px("x1^2 + x2^2"), px("x1^2*x2^2")), degrees=(2, 6), source="catalog"
+            ))
+
+    def test_fewer_invariants_than_variables_rejected(self):
+        # two invariants in x1..x3 would give a 2x2 Jacobian, whose nonzero
+        # determinant -8*x1^3*x2 + 8*x1*x2^3 certifies nothing
+        inv = InvariantTuple(
+            phis=(px("x1^2 + x2^2 + x3^2", nvars=3), px("x1^4 + x2^4 + x3^4", nvars=3)),
+            degrees=(2, 4), source="catalog",
+        )
+        with pytest.raises(ValueError, match="2 invariants in 3 variables"):
             jacobian(inv)
 
     def test_det_degree_is_reflection_count(self):

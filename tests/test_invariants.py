@@ -1,7 +1,6 @@
-"""Reynolds operator, Molien degrees, fundamental invariants, the catalog."""
+"""Reynolds operator, invariant degrees and the Molien series, fundamental
+invariants, the catalog."""
 
-from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from reflconn import invariants
 from reflconn.cyclo import CycloNum
 from reflconn.errors import DegreeSearchFailed, UnknownGroup
-from reflconn.groups import GroupData, group_from_spec, load_group_spec
+from reflconn.groups import close_group, group_from_spec, load_group_spec, parse_matrix
 from reflconn.invariants import (
     catalog_lookup,
     catalog_names,
@@ -19,10 +18,35 @@ from reflconn.invariants import (
     molien_series,
     reynolds,
 )
-from reflconn.linalg import det as mat_det
+from reflconn.linalg import det as mat_det, identity_matrix, mat_rank, mat_sub
 from reflconn.poly import MPoly, weighted_exponents
 
-from conftest import catalog, extra_group, px, rank3_group, sign_group
+from conftest import (
+    EXTRA_GENERATORS,
+    RANK3_GENERATORS,
+    catalog,
+    extra_group,
+    px,
+    rank3_group,
+    sign_group,
+)
+
+DATA = Path(__file__).parent / "data"
+SPEC_FILES = ("g70_70_2.json", "cyclic70.json", "g2_1_2_zeta5.json")
+
+
+def suite_group(label):
+    """Every group the suite builds, by catalog name, conftest name, "sign"
+    or spec file name."""
+    if label in RANK3_GENERATORS:
+        return rank3_group(label)
+    if label in EXTRA_GENERATORS:
+        return extra_group(label)
+    if label == "sign":
+        return sign_group()[0]
+    if label in SPEC_FILES:
+        return group_from_spec(load_group_spec(DATA / label))
+    return catalog(label)[0]
 
 
 class TestReynolds:
@@ -88,19 +112,13 @@ class TestMolien:
         ("cyclic70.json", (70,)),
     ])
     def test_degrees_above_64(self, spec, degrees):
-        # the series is read to t^(r + 1), r the reflection count, so no
-        # fixed bound cuts a degree off
+        # exponents are tried up to the reflection count, so no fixed bound
+        # cuts a degree off
         group = group_from_spec(load_group_spec(Path(__file__).parent / "data" / spec))
         assert invariant_degrees(group) == degrees
 
-    def test_no_recorded_reflections_is_rejected(self):
-        group = replace(sign_group()[0], reflection_indices=())
-        with pytest.raises(DegreeSearchFailed, match="no reflections recorded"):
-            invariant_degrees(group)
-
     def test_series_head_rank_three(self):
-        # G(2,1,3) = B3 over Q: 1/((1-t^2)(1-t^4)(1-t^6)) through the 3x3
-        # determinant of I - tM
+        # G(2,1,3) = B3 over Q: 1/((1-t^2)(1-t^4)(1-t^6))
         group = rank3_group("G(2,1,3)")
         assert group.order == 48
         s = molien_series(group, 9)
@@ -136,33 +154,44 @@ class TestMolien:
         expected = [len(weighted_exponents(k, degrees)) for k in range(precision)]
         assert molien_series(group, precision) == expected
 
-    @pytest.mark.parametrize("name", ["G4", "G(3,3,3)"])
-    def test_principal_minors_match_laplace_over_mpoly(self, name):
-        group = catalog(name)[0] if name == "G4" else rank3_group(name)
-        n, conductor = group.rank, group.conductor
-        t = MPoly.variable(1, "x", 1, conductor)  # t is x1
+    @pytest.mark.parametrize("label", [
+        *catalog_names(), *RANK3_GENERATORS, *EXTRA_GENERATORS, "sign", *SPEC_FILES,
+    ])
+    def test_fixed_spaces_factor_over_the_degrees(self, label):
+        # sum over g of t^(dim V^g) = prod_i (t + d_i - 1), with
+        # dim V^g = n - rank(g - I), coefficients constant term first
+        group = suite_group(label)
+        n = group.rank
+        ident = identity_matrix(n, group.conductor)
+        fixed = [0] * (n + 1)
         for m in group.elements:
-            i_minus_tm = [
-                [MPoly.constant(int(i == j), "x", 1, conductor) - t * m[i][j]
-                 for j in range(n)]
-                for i in range(n)
-            ]
-            d = mat_det(i_minus_tm)
-            assert invariants._char_poly_one_minus_tm(m) == tuple(
-                d.coefficient((k,)) for k in range(n + 1)
-            )
+            fixed[n - mat_rank(mat_sub(m, ident))] += 1
+        product = [1]
+        for d in invariant_degrees(group):
+            product = [(d - 1) * a + b for a, b in zip(product + [0], [0] + product)]
+        assert fixed == product
 
-    def test_non_integral_element_is_rejected(self):
-        # diag(1/2, 1) has det(I - tM) = 1 - 3/2 t + 1/2 t^2: no element of
-        # a finite group gives a coefficient that is not an algebraic integer
-        one, zero, half = (CycloNum.from_rational(q, 1) for q in (1, 0, Fraction(1, 2)))
-        elements = (((one, zero), (zero, one)), ((half, zero), (zero, one)))
-        group = GroupData(
-            rank=2, conductor=1, elements=elements, generator_indices=(1,),
-            element_index={m: k for k, m in enumerate(elements)},
-        )
-        with pytest.raises(DegreeSearchFailed, match="not an algebraic integer"):
-            molien_series(group, 5)
+    @pytest.mark.parametrize("name,order,degrees", [
+        ("G(4,1,2)", 32, (4, 8)),
+        ("G(3,1,3)", 162, (3, 6, 9)),
+        ("G(2,1,4)", 384, (2, 4, 6, 8)),
+    ])
+    def test_extra_group_degrees(self, name, order, degrees):
+        group = extra_group(name)
+        assert group.order == order
+        assert invariant_degrees(group) == degrees
+
+    def test_fixed_spaces_that_do_not_factor_are_rejected(self):
+        # diag(-1, 1) and i*I generate a group of order 8 whose two
+        # reflections generate only 4 elements: sum t^(dim V^g) is
+        # t^2 + 2t + 5, with no root -e for an integer e >= 0
+        group = close_group([
+            parse_matrix([["-1", "0"], ["0", "1"]], 4),
+            parse_matrix([["zeta", "0"], ["0", "zeta"]], 4),
+        ])
+        assert group.order == 8
+        with pytest.raises(DegreeSearchFailed, match=r"coefficients \[5, 2, 1\]"):
+            invariant_degrees(group)
 
 
 class TestFundamentalInvariants:

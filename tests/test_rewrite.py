@@ -74,6 +74,12 @@ class TestRewriteDihedral:
         with pytest.raises(NonHomogeneousInput):
             Rewriter(inv).rewrite(px("x1^2 + x2^2 + 1"))
 
+    def test_misstated_degree_rejected_at_construction(self):
+        # x1^2*x2^2 has degree 4: with the stated 6 the exponent sets would
+        # miss z2 and call x1^4 + x2^4 = z1^2 - 2*z2 not invariant
+        with pytest.raises(NonHomogeneousInput, match="invariant 2 "):
+            InvariantTuple((px("x1^2 + x2^2"), px("x1^2*x2^2")), (2, 6), "catalog")
+
     def test_fewer_invariants_than_variables(self):
         # one invariant over x1, x2: the z-space and the unit product have
         # one variable; SIGALRM bounds the test should product loop again
