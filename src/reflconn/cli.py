@@ -28,7 +28,7 @@ from .render import (
     system_from_dict,
 )
 from .rewrite import Rewriter
-from .verify import check_integrability, full_report
+from .verify import check_integrability, check_rank_one, full_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, ReflconnError) as exc:
         print(f"error: cannot load system: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = check_integrability(cs)
+    report = check_integrability(cs) if cs.rank > 1 else check_rank_one(cs)
     print(report.render())
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 

@@ -35,7 +35,12 @@ from .invariants import InvariantTuple
 from .linalg import adjugate, mat_mul
 from .poly import MPoly, RatFun
 from .rewrite import Rewriter
-from .verify import CheckResult, check_determinant_character, check_equivariance
+from .verify import (
+    CheckResult,
+    check_determinant_character,
+    check_equivariance,
+    generator_tables,
+)
 
 
 @dataclass(frozen=True)
@@ -115,12 +120,14 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     once here; together they imply that D^2 and every entry of R_l are
     relatively invariant, and the rewrite of Delta and Omega_l into z checks
     their invariance exactly.  The check results are kept on the returned
-    ScaledConnection, and a failure raises NonInvariantEntry.
+    ScaledConnection, and a failure raises NonInvariantEntry.  Both checks
+    share one power table per generator, dropped once they are done.
     """
     n = len(jd.jac)
+    tables = generator_tables(group)
     checks = tuple(
-        check_equivariance(jd, group).checks
-        + check_determinant_character(jd, group).checks
+        check_equivariance(jd, group, tables).checks
+        + check_determinant_character(jd, group, tables).checks
     )
     failed = next((c for c in checks if not c.passed), None)
     if failed is not None:

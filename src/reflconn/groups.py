@@ -16,7 +16,7 @@ from .errors import (
 )
 from .linalg import det, identity_matrix, mat_mul, mat_rank, mat_sub
 from .parsing import parse_scalar
-from .poly import MPoly
+from .poly import LinearAction, MPoly
 
 DEFAULT_CAP = 1 << 20
 
@@ -29,7 +29,10 @@ class GroupData:
 
     element_index maps each element to its position in elements, as the
     closure found it.  reflection_indices and det_char_order are filled in
-    by validate_reflection_group.
+    by validate_reflection_group.  actions keeps each element's action on
+    polynomials in x (action), made on first use, so that no element is
+    inverted twice: n linear forms per element, the size of the element
+    table itself.  Their powers are never kept here.
     """
 
     rank: int
@@ -40,6 +43,9 @@ class GroupData:
     reflection_indices: tuple[int, ...] = ()
     det_char_order: int = 0
     name: str = ""
+    actions: dict[int, LinearAction] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def order(self) -> int:
@@ -47,6 +53,17 @@ class GroupData:
 
     def generators(self) -> list[Matrix]:
         return [self.elements[i] for i in self.generator_indices]
+
+    def action(self, i: int) -> LinearAction:
+        """The action f(x) -> f(x * M^{-T}) of element i, kept from its
+        first use."""
+        act = self.actions.get(i)
+        if act is None:
+            act = self.actions[i] = LinearAction(self.elements[i], "x", self.conductor)
+        return act
+
+    def generator_actions(self) -> list[LinearAction]:
+        return [self.action(i) for i in self.generator_indices]
 
     def index_of(self, matrix: Matrix) -> int:
         try:

@@ -43,15 +43,24 @@ class InvariantTuple:
 
 
 def reynolds(f: MPoly, group: GroupData) -> MPoly:
-    """Average f over the group action, in one accumulation; the result is
-    invariant."""
+    """Average f over the group action, in one accumulation, through the
+    elements' kept actions; the result is invariant."""
     weight = CycloNum.from_rational(Fraction(1, group.order), f.conductor)
-    return MPoly.sum_of_products((1, weight, f.substitute_linear(m)) for m in group.elements)
+    return MPoly.sum_of_products(
+        (1, weight, f.substitute_linear(group.action(i))) for i in range(group.order)
+    )
 
 
-def is_invariant(f: MPoly, group: GroupData) -> bool:
-    """Invariance under the generators, which suffices by the action law."""
-    return all(f.substitute_linear(m) == f for m in group.generators())
+def is_invariant(f: MPoly, group: GroupData, actions=None) -> bool:
+    """Invariance under the generators, which suffices by the action law.
+
+    actions, one per generator, is each generator's LinearAction or a
+    PowerTable over its images that other calls share; by default the
+    group's kept actions.
+    """
+    if actions is None:
+        actions = group.generator_actions()
+    return all(f.substitute_linear(a) == f for a in actions)
 
 
 # -- degrees ----------------------------------------------------------------

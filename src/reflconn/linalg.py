@@ -5,7 +5,9 @@ entries sum products in one accumulation, CycloNum scalars and MPoly
 polynomials alike: they serve the Jacobian over MPoly and the scalar
 determinants of group elements.  Each entry of a matrix product and
 each level of a Laplace expansion is one call to the entries' class's
-sum_of_products.  mat_inverse serves the group action f(x) -> f(x * M^{-T}).
+sum_of_products.  mat_inverse serves the group action f(x) -> f(x * M^{-T}):
+it makes the images of poly.LinearAction, which a group keeps for each
+element, so that an element is inverted once per group.
 Row reduction and solving are restricted to CycloNum, where every nonzero
 pivot is invertible.
 """

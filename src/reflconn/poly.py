@@ -287,28 +287,22 @@ class MPoly:
             terms[tuple(new)] = coeff * e
         return self._like(terms)
 
-    def compose(self, args: list["MPoly"]) -> "MPoly":
+    def compose(self, args) -> "MPoly":
         """Substitute args[i] for the i-th variable.
 
-        The result lives in the args' variable space; args must be mutually
+        args is a list of polynomials, or a PowerTable over one whose powers
+        every composition through it shares; a list gets a fresh table.  The
+        result lives in the args' variable space; args must be mutually
         compatible and there must be one per variable.  The terms' images
         are summed in one accumulation (sum_of_products).
         """
-        if len(args) != self.nvars:
+        table = args if isinstance(args, PowerTable) else PowerTable(args)
+        if len(table.args) != self.nvars:
             raise ValueError("need one substitution polynomial per variable")
-        model = args[0]
+        one = table.one
         if not self.terms:
-            return MPoly.zero(model.alphabet, model.nvars, model.conductor)
-        one = MPoly.constant(1, model.alphabet, model.nvars, model.conductor)
-        # incremental power tables: needed exponents are dense in practice
-        pow_cache: list[list[MPoly]] = [[one] for _ in args]
-
-        def power(i, e):
-            table = pow_cache[i]
-            while len(table) <= e:
-                table.append(table[-1] * args[i])
-            return table[e]
-
+            return one._like({})
+        power = table.power
         # one triple per term: the coefficient times all powers but the
         # last, by the last
         triples = []
@@ -320,17 +314,19 @@ class MPoly:
             triples.append((1, left, last))
         return MPoly.sum_of_products(triples)
 
-    def substitute_linear(self, matrix) -> "MPoly":
-        """Apply the group action f(x) -> f(x * M^{-T}) for an invertible M."""
-        # x_j maps to sum_i B[i][j] * x_i with B = M^{-T}, so its
-        # coefficients are row j of M^{-1}
-        n = self.nvars
-        images = [
-            MPoly(self.alphabet, n, self.conductor,
-                  {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(row)})
-            for row in mat_inverse(matrix)
-        ]
-        return self.compose(images)
+    def substitute_linear(self, action) -> "MPoly":
+        """Apply the group action f(x) -> f(x * M^{-T}) for an invertible M.
+
+        action is M itself, its LinearAction, or a PowerTable over the
+        action's images (LinearAction.power_table) that several
+        polynomials share.  Given M, the action is made afresh, by one
+        mat_inverse, in this polynomial's space.
+        """
+        if isinstance(action, LinearAction):
+            action = action.images
+        elif not isinstance(action, PowerTable):
+            action = LinearAction(action, self.alphabet, self.conductor).images
+        return self.compose(action)
 
     # -- equality & printing -------------------------------------------------
 
@@ -375,6 +371,57 @@ class MPoly:
                 cs = f"({cs})"
             terms.append((1, f"{cs}*{mono}" if mono else cs))
         return signed_sum(terms)
+
+
+class PowerTable:
+    """The powers of substitution polynomials args[0..n-1], each built by
+    one product from the one below it when first needed, and kept for the
+    table's life, so that every composition through it shares them.
+
+    A table lives as long as its holder keeps it: one composition, or one
+    check over several polynomials; none is kept on a group.
+    """
+
+    __slots__ = ("args", "one", "_powers")
+
+    def __init__(self, args):
+        self.args = tuple(args)
+        if not self.args:
+            raise ValueError("need one substitution polynomial per variable")
+        model = self.args[0]
+        self.one = MPoly.constant(1, model.alphabet, model.nvars, model.conductor)
+        self._powers = [[self.one] for _ in self.args]
+
+    def power(self, i: int, e: int) -> MPoly:
+        """args[i] ** e."""
+        powers = self._powers[i]
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.args[i])
+        return powers[e]
+
+
+class LinearAction:
+    """The action f(x) -> f(x * M^{-T}) of an invertible M, as the images
+    of the n variables: x_j maps to sum_i B[i][j] * x_i with B = M^{-T}, so
+    its coefficients are row j of M^{-1}, made by one mat_inverse.
+
+    It holds the n linear image forms only; their powers belong to a
+    PowerTable (power_table), which lives no longer than its holder.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, matrix, alphabet: str, conductor: int):
+        n = len(matrix)
+        units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        self.images = tuple(
+            MPoly(alphabet, n, conductor, dict(zip(units, row)))
+            for row in mat_inverse(matrix)
+        )
+
+    def power_table(self) -> PowerTable:
+        """A fresh table of the images' powers, to share among polynomials."""
+        return PowerTable(self.images)
 
 
 def cyclotomic_polynomial(n: int, alphabet: str = "x", conductor: int | None = None) -> MPoly:

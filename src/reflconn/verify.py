@@ -24,7 +24,7 @@ from .errors import DenominatorMismatch
 from .groups import GroupData
 from .invariants import InvariantTuple, is_invariant
 from .linalg import det, mat_mul
-from .poly import MPoly, RatFun
+from .poly import MPoly, PowerTable, RatFun
 from .rewrite import Rewriter
 
 if TYPE_CHECKING:
@@ -101,12 +101,25 @@ def _first_mismatch(lhs, rhs) -> str:
 check_invariance = is_invariant
 
 
-def check_equivariance(jd: JacobianData, group: GroupData) -> VerificationReport:
-    """gamma_M(J) == J * M entrywise for every generator."""
+def generator_tables(group: GroupData) -> list[PowerTable]:
+    """One fresh power table per generator, over its kept action, for a
+    check to share among its polynomials and drop when it is done."""
+    return [a.power_table() for a in group.generator_actions()]
+
+
+def check_equivariance(jd: JacobianData, group: GroupData, tables=None) -> VerificationReport:
+    """gamma_M(J) == J * M entrywise for every generator.
+
+    tables, one PowerTable per generator (generator_tables), is shared by
+    the n^2 entries and may be shared with other checks; by default the
+    check makes its own.
+    """
     report = VerificationReport()
-    for gi, gen in enumerate(group.generators()):
+    if tables is None:
+        tables = generator_tables(group)
+    for gi, (gen, table) in enumerate(zip(group.generators(), tables)):
         def witness():
-            lhs = ((e.substitute_linear(gen) for e in row) for row in jd.jac)
+            lhs = ((e.substitute_linear(table) for e in row) for row in jd.jac)
             where = _first_mismatch(lhs, mat_mul(jd.jac, gen))
             return where and f"generator {gi}, {where}"
 
@@ -114,13 +127,20 @@ def check_equivariance(jd: JacobianData, group: GroupData) -> VerificationReport
     return report
 
 
-def check_determinant_character(jd: JacobianData, group: GroupData) -> VerificationReport:
-    """gamma_M(D) == det(M) * D for every generator."""
+def check_determinant_character(
+    jd: JacobianData, group: GroupData, tables=None
+) -> VerificationReport:
+    """gamma_M(D) == det(M) * D for every generator.
+
+    tables is as for check_equivariance.
+    """
     report = VerificationReport()
-    for gi, gen in enumerate(group.generators()):
+    if tables is None:
+        tables = generator_tables(group)
+    for gi, (gen, table) in enumerate(zip(group.generators(), tables)):
         report.check(
             f"det_relative_invariance[gen {gi}]",
-            lambda: "" if jd.det.substitute_linear(gen) == jd.det * det(gen)
+            lambda: "" if jd.det.substitute_linear(table) == jd.det * det(gen)
             else f"generator {gi}",
         )
     return report
@@ -168,6 +188,26 @@ def check_integrability(cs: ConnectionSystem) -> VerificationReport:
                 return where and f"pair ({i + 1},{j + 1}), {where}"
 
             report.check(f"integrability[{i + 1},{j + 1}]", witness)
+    return report
+
+
+def check_rank_one(cs: ConnectionSystem) -> VerificationReport:
+    """The closed form of a rank-1 system, which has no pair to integrate.
+
+    Its invariant is c * x1^d, so J = c*d*x1^(d-1) and
+    A_1 = J'/J^2 = (d - 1)/(d * z1), with d the stored invariant's degree.
+    """
+    report = VerificationReport()
+    d = cs.invariants_used.degrees[0]
+    z1 = MPoly.variable(1, "z", 1, cs.denominator.conductor)
+
+    def witness():
+        if d < 1:
+            return f"invariant of degree {d}"
+        closed = RatFun(MPoly.constant(d - 1, "z", 1, z1.conductor), z1 * d)
+        return "" if cs.matrices[0][0][0] == closed else f"A_1 is not {closed}"
+
+    report.check("closed_form[A_1]", witness)
     return report
 
 
@@ -238,8 +278,13 @@ def full_report(
     report = VerificationReport(list(sc.checks))
     for sub in (check_integrability(cs), cross_validate(cs, sc, phi)):
         report.checks.extend(sub.checks)
+    tables = generator_tables(group)
     report.check("invariants_fixed_by_generators", lambda: next(
-        (f"invariant {k + 1}" for k, p in enumerate(phi.phis) if not check_invariance(p, group)),
+        (
+            f"invariant {k + 1}"
+            for k, p in enumerate(phi.phis)
+            if not check_invariance(p, group, tables)
+        ),
         "",
     ))
     prod = math.prod(phi.degrees)

@@ -32,7 +32,7 @@ from conftest import (
 )
 
 DATA = Path(__file__).parent / "data"
-SPEC_FILES = ("g70_70_2.json", "cyclic70.json", "g2_1_2_zeta5.json")
+SPEC_FILES = ("g70_70_2.json", "cyclic70.json", "g2_1_2_zeta5.json", "g2_1_2_zeta5_sheared.json")
 
 
 def suite_group(label):

@@ -198,6 +198,30 @@ class TestCli:
         ]) == 0
         assert main(["verify", str(out_file)]) == 0
 
+    def test_verify_checks_the_rank_one_closed_form(self, tmp_path, capsys):
+        # A_1 = (d - 1)/(d*z1) for the invariant x1^70 of the cyclic group
+        out_file = tmp_path / "cyclic70.json"
+        assert main([
+            "compute", "--spec-file", str(Path(__file__).parent / "data" / "cyclic70.json"),
+            "--format", "json", "--out", str(out_file),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out_file)]) == 0
+        assert "[PASS] closed_form[A_1]" in capsys.readouterr().out
+        data = json.loads(out_file.read_text())
+        entry = data["matrices"][0][0][0]
+        assert (entry["num"], entry["den"]) == ("69/70", "z1")
+        entry["num"] = "-(69/70)"
+        out_file.write_text(json.dumps(data))
+        assert main(["verify", str(out_file)]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] closed_form[A_1]" in out and "witness: A_1" in out
+        # a constant invariant has no closed form to divide by
+        data["invariants"] = ["3"]
+        out_file.write_text(json.dumps(data))
+        assert main(["verify", str(out_file)]) == 3
+        assert "witness: invariant of degree 0" in capsys.readouterr().out
+
     def test_verify_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/system.json"]) == 2
 

@@ -15,11 +15,12 @@ from reflconn.verify import (
     check_equivariance,
     check_integrability,
     check_invariance,
+    check_rank_one,
     cross_validate,
     full_report,
 )
 
-from conftest import catalog, derived_pipeline, pipeline, px, pz, rank3_group
+from conftest import catalog, derived_pipeline, pipeline, px, pz, rank3_group, sign_group
 
 
 def _flip_sign(matrices, ell, r, c):
@@ -101,6 +102,15 @@ class TestMutationDetection:
         report = cross_validate(bad, sc, inv)
         assert not report.all_passed
         assert "A_2 entry (1,1)" in report.failures()[0].witness
+
+    def test_rank_one_closed_form_flags_sign_flip(self):
+        # the sign group's invariant x1^2 gives A_1 = 1/(2*z1)
+        cs = build_system(*sign_group())
+        report = check_rank_one(cs)
+        assert [c.name for c in report.checks] == ["closed_form[A_1]"]
+        assert report.all_passed
+        bad = dataclasses.replace(cs, matrices=_flip_sign(cs.matrices, 0, 0, 0))
+        assert check_rank_one(bad).failures()[0].witness.startswith("A_1 ")
 
     def test_cross_validation_reads_the_numerators(self):
         # the display form is left honest; only the certified numerators move
