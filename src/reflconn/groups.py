@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import lcm
 
 from .cyclo import CycloNum
@@ -28,11 +29,16 @@ class GroupData:
     """A finite matrix group; element 0 is the identity.
 
     element_index maps each element to its position in elements, as the
-    closure found it.  reflection_indices and det_char_order are filled in
-    by validate_reflection_group.  actions keeps each element's action on
-    polynomials in x (action), made on first use, so that no element is
-    inverted twice: n linear forms per element, the size of the element
-    table itself.  Their powers are never kept here.
+    closure found it, and fixed_dims[i] is dim V^g = n - rank(g - I) of
+    element i, both filled in by close_group.  reflection_indices and
+    det_char_order are filled in by validate_reflection_group.
+
+    Two things are made on first use and kept, so that no element is
+    inverted twice and no coset is looked up twice: actions holds each
+    element's action on polynomials in x (action), n linear forms per
+    element, the size of the element table itself, and never their powers;
+    diagonal_cosets holds the diagonal subgroup H and the index of one
+    representative per left coset tH.
     """
 
     rank: int
@@ -40,6 +46,7 @@ class GroupData:
     elements: tuple[Matrix, ...]
     generator_indices: tuple[int, ...]
     element_index: dict[Matrix, int] = field(compare=False, repr=False)
+    fixed_dims: tuple[int, ...] = field(compare=False, repr=False)
     reflection_indices: tuple[int, ...] = ()
     det_char_order: int = 0
     name: str = ""
@@ -64,6 +71,32 @@ class GroupData:
 
     def generator_actions(self) -> list[LinearAction]:
         return [self.action(i) for i in self.generator_indices]
+
+    @cached_property
+    def diagonal_cosets(self) -> tuple[tuple[tuple[CycloNum, ...], ...], tuple[int, ...]]:
+        """(H, T), made on first use: the diagonal elements, a subgroup H,
+        each as its diagonal (h_11, ..., h_nn), and the index of one
+        representative t of each left coset tH, the first in element order.
+
+        The coset of t is t with column j scaled by h_jj for each h in H,
+        found by one element_index lookup per (t, h).
+        """
+        n = self.rank
+        diagonals = tuple(
+            tuple(m[j][j] for j in range(n))
+            for m in self.elements
+            if not any(m[r][c] for r in range(n) for c in range(n) if r != c)
+        )
+        covered = [False] * self.order
+        representatives = []
+        for i, t in enumerate(self.elements):
+            if covered[i]:
+                continue
+            representatives.append(i)
+            for h in diagonals:
+                coset_element = tuple(tuple(e * s for e, s in zip(row, h)) for row in t)
+                covered[self.element_index[coset_element]] = True
+        return diagonals, tuple(representatives)
 
     def index_of(self, matrix: Matrix) -> int:
         try:
@@ -120,6 +153,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, name: str = "") -> GroupData
         elements=tuple(elements),
         generator_indices=gen_indices,
         element_index=seen,
+        fixed_dims=tuple(n - mat_rank(mat_sub(m, ident)) for m in elements),
         name=name,
     )
 
@@ -132,8 +166,7 @@ def is_reflection_matrix(m: Matrix, conductor: int) -> bool:
 
 def is_reflection(m: Matrix, group: GroupData) -> bool:
     """True iff m is in the group and fixes a hyperplane pointwise."""
-    group.index_of(m)
-    return is_reflection_matrix(m, group.conductor)
+    return group.fixed_dims[group.index_of(m)] == group.rank - 1
 
 
 def hyperplanes(group: GroupData) -> tuple[tuple[MPoly, int], ...]:
@@ -163,13 +196,11 @@ def hyperplanes(group: GroupData) -> tuple[tuple[MPoly, int], ...]:
 def validate_reflection_group(group: GroupData) -> GroupData:
     """Check that the reflections inside the closure generate the whole group.
 
-    Fills in reflection_indices and the order of the determinant character.
+    Fills in reflection_indices, the elements whose fixed space closure
+    found to be a hyperplane (fixed_dims n - 1), and the order of the
+    determinant character.
     """
-    refl = [
-        i
-        for i, m in enumerate(group.elements)
-        if is_reflection_matrix(m, group.conductor)
-    ]
+    refl = [i for i, dim in enumerate(group.fixed_dims) if dim == group.rank - 1]
     if not refl:
         raise NotAReflectionGroup("group contains no reflection")
 

@@ -1,6 +1,12 @@
 """Invariant theory: Reynolds operator, invariant degrees from the fixed
 spaces, fundamental invariants, and the built-in catalog of groups with
-known invariants."""
+known invariants.
+
+Both derivations read what the group keeps: the degrees count the fixed
+space dimensions that close_group records for each element, and the
+Reynolds operator averages over the cosets of the diagonal subgroup
+(GroupData.diagonal_cosets), acting through one kept action per coset.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from .errors import (
     UnknownGroup,
 )
 from .groups import GroupData, group_from_spec
-from .linalg import det as mat_det, identity_matrix, mat_rank, mat_sub
+from .linalg import det as mat_det
 from .parsing import parse_expr
 from .poly import MPoly, grlex_key, top_reduce, weighted_exponents
 
@@ -43,11 +49,34 @@ class InvariantTuple:
 
 
 def reynolds(f: MPoly, group: GroupData) -> MPoly:
-    """Average f over the group action, in one accumulation, through the
-    elements' kept actions; the result is invariant."""
-    weight = CycloNum.from_rational(Fraction(1, group.order), f.conductor)
+    """Average f over the group action; the result is invariant.
+
+    The sum runs over the left cosets tH of the diagonal subgroup H
+    (GroupData.diagonal_cosets): sum_g g.f = sum_t t.(sum_h h.f).  A
+    diagonal h scales x^a by prod_j h_jj^(-a_j), so sum_h h.x^a is x^a
+    times sum_h prod_j h_jj^(a_j) (h -> h^-1 permutes H), a character sum
+    that is |H| when every product is 1 and 0 otherwise.  The terms of f
+    that H fixes are therefore substituted through the kept actions of the
+    representatives t alone, and averaged over their number, |G|/|H|; when
+    H fixes no term the average is zero and nothing is substituted.
+    """
+    diagonals, representatives = group.diagonal_cosets
+    one = CycloNum.one(f.conductor)
+
+    def fixed_by_diagonal(exps):
+        return all(
+            math.prod((s ** e for s, e in zip(h, exps) if e), start=one) == one
+            for h in diagonals
+        )
+
+    fixed = MPoly(f.alphabet, f.nvars, f.conductor, {
+        e: c for e, c in f.terms.items() if fixed_by_diagonal(e)
+    })
+    if not fixed:
+        return fixed
+    weight = CycloNum.from_rational(Fraction(1, len(representatives)), f.conductor)
     return MPoly.sum_of_products(
-        (1, weight, f.substitute_linear(group.action(i))) for i in range(group.order)
+        (1, weight, fixed.substitute_linear(group.action(t))) for t in representatives
     )
 
 
@@ -69,17 +98,17 @@ def invariant_degrees(group: GroupData) -> tuple[int, ...]:
     """Degrees of the fundamental invariants, read off the fixed spaces.
 
     For a reflection group, sum over g of t^(dim V^g) = prod_i (t + d_i - 1)
-    with dim V^g = n - rank(g - I) (Shephard-Todd 1954; Solomon 1963).  The
-    exponents e_i = d_i - 1 sum to the t^(n-1) coefficient, the reflection
-    count, so each is found by synthetic division by t + e for e from 0 up
-    to it.  A polynomial that does not split that way raises
+    (Shephard-Todd 1954; Solomon 1963), with the dims dim V^g that
+    close_group keeps in group.fixed_dims, so no linear algebra is done
+    here.  The exponents e_i = d_i - 1 sum to the t^(n-1) coefficient, the
+    reflection count, so each is found by synthetic division by t + e for e
+    from 0 up to it.  A polynomial that does not split that way raises
     DegreeSearchFailed.
     """
     n = group.rank
-    ident = identity_matrix(n, group.conductor)
     counts = [0] * (n + 1)
-    for m in group.elements:
-        counts[n - mat_rank(mat_sub(m, ident))] += 1
+    for dim in group.fixed_dims:
+        counts[dim] += 1
     coeffs = counts[::-1]  # leading coefficient first
     degrees = []
     for e in range(counts[n - 1] + 1):
@@ -101,8 +130,11 @@ def invariant_degrees(group: GroupData) -> tuple[int, ...]:
 
 def molien_series(group: GroupData, precision: int) -> list[CycloNum]:
     """The Molien series to t^(precision - 1), prod_i 1/(1 - t^d_i) over the
-    degrees; for a reflection group the two agree (Chevalley)."""
-    series = [1] + [0] * (precision - 1)
+    degrees; for a reflection group the two agree (Chevalley).  precision 0
+    gives no coefficient; a negative one raises ValueError."""
+    if precision < 0:
+        raise ValueError(f"precision must be at least 0, got {precision}")
+    series = [1] + [0] * (precision - 1) if precision else []
     for d in invariant_degrees(group):
         for k in range(d, precision):
             series[k] += series[k - d]

@@ -1,7 +1,7 @@
 """The group action through kept actions and shared power tables.
 
-A group keeps each element's LinearAction, the images of x1..xn under
-x -> x * M^{-T}, from its first use; a PowerTable over those images lets
+A group keeps the LinearAction of each element that acts, the images of
+x1..xn under x -> x * M^{-T}, from its first use; a PowerTable over those images lets
 several polynomials share their powers.  Both must give exactly what a
 substitution by the matrix itself gives.
 """
@@ -159,8 +159,11 @@ class TestEachElementInvertedOnce:
         assert fundamental_invariants(group) == phi
         assert calls == []
 
-        # the group holds the n image forms of each element, never their powers
-        assert len(group.actions) == group.order
+        # the group holds the n image forms of the elements that act, the
+        # representatives of the cosets of the diagonal subgroup (Reynolds)
+        # and the generators (the checks), never their powers
+        _, representatives = group.diagonal_cosets
+        assert set(group.actions) == set(representatives) | set(group.generator_indices)
         for action in group.actions.values():
             assert type(action) is LinearAction
             assert all(p.total_degree() == 1 for p in action.images)

@@ -1,6 +1,8 @@
-"""Reynolds operator, invariant degrees and the Molien series, fundamental
-invariants, the catalog."""
+"""Reynolds operator and the cosets of the diagonal subgroup, invariant
+degrees and the Molien series, fundamental invariants, the catalog."""
 
+import functools
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,13 @@ import pytest
 from reflconn import invariants
 from reflconn.cyclo import CycloNum
 from reflconn.errors import DegreeSearchFailed, UnknownGroup
-from reflconn.groups import close_group, group_from_spec, load_group_spec, parse_matrix
+from reflconn.groups import (
+    close_group,
+    group_from_spec,
+    load_group_spec,
+    parse_matrix,
+    validate_reflection_group,
+)
 from reflconn.invariants import (
     catalog_lookup,
     catalog_names,
@@ -19,7 +27,7 @@ from reflconn.invariants import (
     reynolds,
 )
 from reflconn.linalg import det as mat_det, identity_matrix, mat_rank, mat_sub
-from reflconn.poly import MPoly, weighted_exponents
+from reflconn.poly import MPoly, grlex_key, weighted_exponents
 
 from conftest import (
     EXTRA_GENERATORS,
@@ -32,12 +40,22 @@ from conftest import (
 )
 
 DATA = Path(__file__).parent / "data"
-SPEC_FILES = ("g70_70_2.json", "cyclic70.json", "g2_1_2_zeta5.json", "g2_1_2_zeta5_sheared.json")
+SPEC_FILES = (
+    "g70_70_2.json", "cyclic70.json", "g2_1_2_zeta5.json", "g2_1_2_zeta5_sheared.json",
+    "a2_root_basis.json",
+)
+SUITE_GROUPS = (*catalog_names(), *RANK3_GENERATORS, *EXTRA_GENERATORS, "sign", *SPEC_FILES)
+
+# S3 = W(A2) over Q in the basis (alpha1, alpha1 + 2*alpha2), where s1 is
+# diagonal: H = {I, s1} is not normal, so its left and right cosets differ
+DIAGONAL_REFLECTION_S3 = ([["-1", "0"], ["0", "1"]], [["1/2", "3/2"], ["1/2", "-1/2"]])
+COSET_GROUPS = (*SUITE_GROUPS, "S3, diagonal reflection")
 
 
+@functools.lru_cache(maxsize=None)
 def suite_group(label):
-    """Every group the suite builds, by catalog name, conftest name, "sign"
-    or spec file name."""
+    """Every group the suite builds, by catalog name, conftest name, "sign",
+    spec file name or "S3, diagonal reflection"."""
     if label in RANK3_GENERATORS:
         return rank3_group(label)
     if label in EXTRA_GENERATORS:
@@ -46,6 +64,10 @@ def suite_group(label):
         return sign_group()[0]
     if label in SPEC_FILES:
         return group_from_spec(load_group_spec(DATA / label))
+    if label == "S3, diagonal reflection":
+        return validate_reflection_group(
+            close_group([parse_matrix(m, 1) for m in DIAGONAL_REFLECTION_S3])
+        )
     return catalog(label)[0]
 
 
@@ -70,6 +92,83 @@ class TestReynolds:
         group, inv = catalog("G(2,1,2)")
         for p in inv.phis:
             assert reynolds(p, group) == p
+
+
+def first_monomials(d, n, count=3):
+    """The first count monomials of degree d in grlex order, as the
+    invariant search takes them."""
+    return sorted(weighted_exponents(d, (1,) * n), key=grlex_key, reverse=True)[:count]
+
+
+def equivalence_inputs(group):
+    """The polynomials whose Reynolds images are compared with the sum over
+    every element: the first monomials of each invariant degree; the sum of
+    the first monomials of the largest degree below the top one that no
+    product of invariants reaches, whose image is zero; and a dense
+    non-homogeneous polynomial, every monomial of degree at most 3 plus
+    x1^d for each invariant degree d, with coefficients k + zeta^k."""
+    n, conductor = group.rank, group.conductor
+    one = CycloNum.one(conductor)
+    degrees = invariant_degrees(group)
+    fs = [
+        MPoly("x", n, conductor, {e: one})
+        for d in sorted(set(degrees))
+        for e in first_monomials(d, n)
+    ]
+    empty = max(d for d in range(1, max(degrees)) if not weighted_exponents(d, degrees))
+    vanishing = MPoly("x", n, conductor, {e: one for e in first_monomials(empty, n)})
+    dense = [e for d in range(4) for e in weighted_exponents(d, (1,) * n)]
+    dense += [(d,) + (0,) * (n - 1) for d in degrees if d > 3]
+    fs.append(MPoly("x", n, conductor, {
+        e: CycloNum.zeta(conductor, k) + k for k, e in enumerate(dense)
+    }))
+    return fs, vanishing
+
+
+class TestReynoldsOverCosets:
+    """reynolds sums over the cosets of the diagonal subgroup; it must equal
+    the plain average over every element."""
+
+    @pytest.mark.parametrize("label", COSET_GROUPS)
+    def test_equals_the_sum_over_every_element(self, label):
+        group = suite_group(label)
+        fs, vanishing = equivalence_inputs(group)
+        for f in fs + [vanishing]:
+            total = MPoly.zero("x", group.rank, group.conductor)
+            for m in group.elements:
+                total = total + f.substitute_linear(m)
+            assert reynolds(f, group) == total * Fraction(1, group.order)
+        assert reynolds(vanishing, group).is_zero()
+
+    @pytest.mark.parametrize("label", COSET_GROUPS)
+    def test_cosets_of_the_diagonal_subgroup(self, label):
+        group = suite_group(label)
+        n = group.rank
+        diagonals, representatives = group.diagonal_cosets
+        assert set(diagonals) == {
+            tuple(m[j][j] for j in range(n))
+            for m in group.elements
+            if all(not m[r][c] for r in range(n) for c in range(n) if r != c)
+        }
+        assert len(diagonals) * len(representatives) == group.order
+        assert list(representatives) == sorted(representatives)
+        assert representatives[0] == 0
+        assert group.diagonal_cosets is group.diagonal_cosets  # kept
+
+    def test_without_diagonal_elements_every_element_represents(self):
+        group = suite_group("a2_root_basis.json")
+        assert group.order == 6
+        assert invariant_degrees(group) == (2, 3)
+        assert group.diagonal_cosets == (((1, 1),), tuple(range(6)))
+
+    def test_a_zero_image_substitutes_nothing(self, monkeypatch):
+        group, _ = catalog("G4")
+        calls = []
+        monkeypatch.setattr(
+            MPoly, "substitute_linear", lambda f, a: calls.append(a) or f
+        )
+        assert reynolds(px("x1^5 + x1^3*x2^2"), group).is_zero()
+        assert calls == []
 
 
 class TestMolien:
@@ -154,9 +253,31 @@ class TestMolien:
         expected = [len(weighted_exponents(k, degrees)) for k in range(precision)]
         assert molien_series(group, precision) == expected
 
-    @pytest.mark.parametrize("label", [
-        *catalog_names(), *RANK3_GENERATORS, *EXTRA_GENERATORS, "sign", *SPEC_FILES,
-    ])
+    def test_series_of_precision_zero_is_empty(self):
+        group, _ = catalog("G(2,1,2)")
+        assert molien_series(group, 0) == []
+        assert molien_series(group, 1) == [1]
+
+    def test_negative_precision_is_rejected(self):
+        group, _ = catalog("G(2,1,2)")
+        with pytest.raises(ValueError, match="precision"):
+            molien_series(group, -3)
+
+    @pytest.mark.parametrize("label", SUITE_GROUPS)
+    def test_fixed_dims_are_the_ranks(self, label):
+        # close_group keeps dim V^g = n - rank(g - I) of every element, and
+        # the reflections are exactly the elements fixing a hyperplane
+        group = suite_group(label)
+        n = group.rank
+        ident = identity_matrix(n, group.conductor)
+        assert group.fixed_dims == tuple(
+            n - mat_rank(mat_sub(m, ident)) for m in group.elements
+        )
+        assert group.reflection_indices == tuple(
+            i for i, dim in enumerate(group.fixed_dims) if dim == n - 1
+        )
+
+    @pytest.mark.parametrize("label", SUITE_GROUPS)
     def test_fixed_spaces_factor_over_the_degrees(self, label):
         # sum over g of t^(dim V^g) = prod_i (t + d_i - 1), with
         # dim V^g = n - rank(g - I), coefficients constant term first
