@@ -98,7 +98,11 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, ReflconnError) as exc:
         print(f"error: cannot load system: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = check_integrability(cs) if cs.rank > 1 else check_rank_one(cs)
+    if cs.rank > 1:
+        jacobian(cs.invariants_used)  # SingularJacobian for dependent invariants
+        report = check_integrability(cs)
+    else:
+        report = check_rank_one(cs)
     print(report.render())
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 

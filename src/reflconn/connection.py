@@ -26,21 +26,16 @@ of degree deg Delta + d_r - d_l - d_c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 from .errors import NonInvariantEntry, SingularJacobian
 from .groups import GroupData, hyperplanes
 from .invariants import InvariantTuple
 from .linalg import adjugate, mat_mul
-from .poly import MPoly, RatFun
+from .poly import MPoly, PowerTable, RatFun
 from .rewrite import Rewriter
-from .verify import (
-    CheckResult,
-    check_determinant_character,
-    check_equivariance,
-    generator_tables,
-)
+from .verify import CheckResult, check_determinant_character, check_equivariance
 
 
 @dataclass(frozen=True)
@@ -54,12 +49,15 @@ class JacobianData:
 class ScaledConnection:
     """Polynomial numerator matrices Omega_l and the discriminant Delta.
 
-    checks holds the group checks run while building it.
+    checks holds the group checks run while building it, and tables the
+    group's generator tables they ran through, with the image of every
+    polynomial substituted, for full_report to share.
     """
 
     numerators: tuple[tuple[tuple[MPoly, ...], ...], ...]
     discriminant: MPoly
     checks: tuple[CheckResult, ...]
+    tables: tuple[PowerTable, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -121,10 +119,13 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     relatively invariant, and the rewrite of Delta and Omega_l into z checks
     their invariance exactly.  The check results are kept on the returned
     ScaledConnection, and a failure raises NonInvariantEntry.  Both checks
-    share one power table per generator, dropped once they are done.
+    share one power table per generator, which certifies each Jacobian row
+    by substituting its invariant once and remembers the image; the tables
+    are kept on the ScaledConnection, so that full_report's invariance check
+    reads those images instead of substituting again.
     """
     n = len(jd.jac)
-    tables = generator_tables(group)
+    tables = group.generator_tables()
     checks = tuple(
         check_equivariance(jd, group, tables).checks
         + check_determinant_character(jd, group, tables).checks
@@ -157,7 +158,8 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
             p = tuple(tuple(e.exact_div(excess) for e in row) for row in p)
         numerators.append(p)
     return ScaledConnection(
-        numerators=tuple(numerators), discriminant=discriminant, checks=checks
+        numerators=tuple(numerators), discriminant=discriminant, checks=checks,
+        tables=tables,
     )
 
 

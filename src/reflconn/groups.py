@@ -17,7 +17,7 @@ from .errors import (
 )
 from .linalg import det, identity_matrix, mat_mul, mat_rank, mat_sub
 from .parsing import parse_scalar
-from .poly import LinearAction, MPoly
+from .poly import LinearAction, MPoly, PowerTable
 
 DEFAULT_CAP = 1 << 20
 
@@ -69,8 +69,11 @@ class GroupData:
             act = self.actions[i] = LinearAction(self.elements[i], "x", self.conductor)
         return act
 
-    def generator_actions(self) -> list[LinearAction]:
-        return [self.action(i) for i in self.generator_indices]
+    def generator_tables(self) -> tuple[PowerTable, ...]:
+        """One fresh power table per generator, over its kept action, for
+        its holder to share among the polynomials it substitutes; none is
+        kept here."""
+        return tuple(self.action(i).power_table() for i in self.generator_indices)
 
     @cached_property
     def diagonal_cosets(self) -> tuple[tuple[tuple[CycloNum, ...], ...], tuple[int, ...]]:

@@ -80,16 +80,16 @@ def reynolds(f: MPoly, group: GroupData) -> MPoly:
     )
 
 
-def is_invariant(f: MPoly, group: GroupData, actions=None) -> bool:
+def is_invariant(f: MPoly, group: GroupData, tables=None) -> bool:
     """Invariance under the generators, which suffices by the action law.
 
-    actions, one per generator, is each generator's LinearAction or a
-    PowerTable over its images that other calls share; by default the
-    group's kept actions.
+    tables, one PowerTable per generator (GroupData.generator_tables), may
+    be shared with other calls, and f is substituted through a table only
+    if no call has substituted it there before; by default fresh tables.
     """
-    if actions is None:
-        actions = group.generator_actions()
-    return all(f.substitute_linear(a) == f for a in actions)
+    if tables is None:
+        tables = group.generator_tables()
+    return all(t.image(f) == f for t in tables)
 
 
 # -- degrees ----------------------------------------------------------------

@@ -378,11 +378,13 @@ class PowerTable:
     one product from the one below it when first needed, and kept for the
     table's life, so that every composition through it shares them.
 
-    A table lives as long as its holder keeps it: one composition, or one
-    check over several polynomials; none is kept on a group.
+    A table lives as long as its holder keeps it: one composition, or the
+    group checks of one system (ScaledConnection.tables), which also share
+    the image of every polynomial substituted through it (image); none is
+    kept on a group.
     """
 
-    __slots__ = ("args", "one", "_powers")
+    __slots__ = ("args", "one", "_powers", "_images")
 
     def __init__(self, args):
         self.args = tuple(args)
@@ -391,6 +393,7 @@ class PowerTable:
         model = self.args[0]
         self.one = MPoly.constant(1, model.alphabet, model.nvars, model.conductor)
         self._powers = [[self.one] for _ in self.args]
+        self._images: dict[MPoly, MPoly] = {}
 
     def power(self, i: int, e: int) -> MPoly:
         """args[i] ** e."""
@@ -398,6 +401,14 @@ class PowerTable:
         while len(powers) <= e:
             powers.append(powers[-1] * self.args[i])
         return powers[e]
+
+    def image(self, f: MPoly) -> MPoly:
+        """f.substitute_linear(self), made on f's first call and then
+        remembered, so that each polynomial is substituted once per table."""
+        img = self._images.get(f)
+        if img is None:
+            img = self._images[f] = f.substitute_linear(self)
+        return img
 
 
 class LinearAction:

@@ -5,6 +5,18 @@ proof-grade certificate, with no tolerances anywhere.  Checking only the
 group generators suffices for (equi)variance because the action is a
 group action.
 
+The group checks run through the invariants.  Row r of J is certified
+by its Euler potential psi_r (for J = d(phi), phi_r itself): when
+grad psi_r is the row exactly and a generator M fixes psi_r, the chain
+rule gives gamma_M(row) = row * M, and when D == det J, equivariance gives
+gamma_M(D) = det(M) * D (Kane, Reflection Groups and Invariant Theory,
+section 18).  So each generator substitutes each phi_r once, through one
+PowerTable per generator that remembers every image and that
+scaled_connection keeps on the ScaledConnection for full_report's
+invariance check.  A row or a D that these identities cannot certify is
+substituted as it stands, so every verdict and witness is that of plain
+substitution, for forged JacobianData too.
+
 Each check is one witness function, recorded and timed by
 VerificationReport.check: it returns "" for a pass and otherwise the text
 that names where the identity fails, so a check fails exactly when it
@@ -16,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -24,7 +37,7 @@ from .errors import DenominatorMismatch
 from .groups import GroupData
 from .invariants import InvariantTuple, is_invariant
 from .linalg import det, mat_mul
-from .poly import MPoly, PowerTable, RatFun
+from .poly import MPoly, RatFun
 from .rewrite import Rewriter
 
 if TYPE_CHECKING:
@@ -101,26 +114,71 @@ def _first_mismatch(lhs, rhs) -> str:
 check_invariance = is_invariant
 
 
-def generator_tables(group: GroupData) -> list[PowerTable]:
-    """One fresh power table per generator, over its kept action, for a
-    check to share among its polynomials and drop when it is done."""
-    return [a.power_table() for a in group.generator_actions()]
+def _euler_potentials(jac) -> list[MPoly | None]:
+    """The Euler potential of each Jacobian row, or None where it has none.
+
+    Row r, homogeneous of degree m, has psi_r = sum_j x_j * J_rj / (m + 1),
+    kept only when grad psi_r == row r exactly.  For J = d(phi), Euler's
+    identity makes psi_r = phi_r.
+    """
+    potentials = []
+    for row in jac:
+        degrees = {sum(e) for entry in row for e in entry.terms}
+        psi = None
+        if len(degrees) == 1:
+            m = degrees.pop()
+            model = row[0]
+            xs = [
+                MPoly.variable(j + 1, model.alphabet, model.nvars, model.conductor)
+                for j in range(model.nvars)
+            ]
+            psi = MPoly.sum_of_products(
+                (1, x, e) for x, e in zip(xs, row)
+            ) * Fraction(1, m + 1)
+            if any(psi.partial(j + 1) != e for j, e in enumerate(row)):
+                psi = None
+        potentials.append(psi)
+    return potentials
+
+
+def _equivariance_witness(jac, potentials, gen, table) -> str:
+    """'entry (r,c)' for the first entry where gamma_M(J) != J * M, else ''.
+
+    A row whose Euler potential psi the generator fixes is not substituted:
+    gamma_M(grad psi) = grad(gamma_M psi) * M by the chain rule, so the row
+    maps to row * M.  Every other row is substituted entry by entry.  All
+    images go through table.image, so a polynomial is substituted once per
+    table however many checks ask for it.
+    """
+    for r, (row, psi) in enumerate(zip(jac, potentials)):
+        if psi is not None and table.image(psi) == psi:
+            continue
+        for c, (e, target) in enumerate(zip(row, mat_mul((row,), gen)[0])):
+            if table.image(e) != target:
+                return f"entry ({r + 1},{c + 1})"
+    return ""
 
 
 def check_equivariance(jd: JacobianData, group: GroupData, tables=None) -> VerificationReport:
     """gamma_M(J) == J * M entrywise for every generator.
 
-    tables, one PowerTable per generator (generator_tables), is shared by
-    the n^2 entries and may be shared with other checks; by default the
-    check makes its own.
+    Row r is certified through its Euler potential psi_r when the
+    generator fixes it (_equivariance_witness), so for J = d(phi) only
+    phi_r, of degree d_r, is substituted; a row that is not a gradient, or
+    whose potential moves, is substituted entry by entry.  The witness is
+    the first entry that differs, in row-major order.
+
+    tables, one PowerTable per generator (GroupData.generator_tables),
+    remember every image, and may be shared with the other group checks of
+    the same system; by default the check makes its own.
     """
     report = VerificationReport()
     if tables is None:
-        tables = generator_tables(group)
+        tables = group.generator_tables()
+    potentials = _euler_potentials(jd.jac)
     for gi, (gen, table) in enumerate(zip(group.generators(), tables)):
         def witness():
-            lhs = ((e.substitute_linear(table) for e in row) for row in jd.jac)
-            where = _first_mismatch(lhs, mat_mul(jd.jac, gen))
+            where = _equivariance_witness(jd.jac, potentials, gen, table)
             return where and f"generator {gi}, {where}"
 
         report.check(f"jacobian_equivariance[gen {gi}]", witness)
@@ -132,17 +190,27 @@ def check_determinant_character(
 ) -> VerificationReport:
     """gamma_M(D) == det(M) * D for every generator.
 
-    tables is as for check_equivariance.
+    When D == det J, tested once by one Laplace det, and the generator
+    passes the equivariance identity, gamma_M(D) = det(J * M) = det(M) * D
+    with nothing more substituted; through tables shared with
+    check_equivariance, that identity is read off the images it already
+    made.  Otherwise D itself, of degree the reflection count, is
+    substituted and compared.  tables is as for check_equivariance.
     """
     report = VerificationReport()
     if tables is None:
-        tables = generator_tables(group)
+        tables = group.generator_tables()
+    potentials = _euler_potentials(jd.jac)
+    det_is_det_j = cache(lambda: jd.det == det(jd.jac))
     for gi, (gen, table) in enumerate(zip(group.generators(), tables)):
-        report.check(
-            f"det_relative_invariance[gen {gi}]",
-            lambda: "" if jd.det.substitute_linear(table) == jd.det * det(gen)
-            else f"generator {gi}",
-        )
+        def witness():
+            if not _equivariance_witness(jd.jac, potentials, gen, table) and det_is_det_j():
+                return ""
+            return "" if jd.det.substitute_linear(table) == jd.det * det(gen) else (
+                f"generator {gi}"
+            )
+
+        report.check(f"det_relative_invariance[gen {gi}]", witness)
     return report
 
 
@@ -256,7 +324,10 @@ def full_report(
     """All checks for a freshly computed system, in one report.
 
     The equivariance and determinant-character results are the ones that
-    scaled_connection(jd, group) ran and kept on sc.
+    scaled_connection(jd, group) ran and kept on sc, and the invariance of
+    the phi goes through the generator tables it kept there (sc.tables),
+    which already hold the image of every phi_r that certified a Jacobian
+    row, so an honest system substitutes nothing here.
 
     Together they certify that the differential Galois group over C(z) is
     G.  Y = J solves the system (cross-validation ties it to
@@ -278,12 +349,11 @@ def full_report(
     report = VerificationReport(list(sc.checks))
     for sub in (check_integrability(cs), cross_validate(cs, sc, phi)):
         report.checks.extend(sub.checks)
-    tables = generator_tables(group)
     report.check("invariants_fixed_by_generators", lambda: next(
         (
             f"invariant {k + 1}"
             for k, p in enumerate(phi.phis)
-            if not check_invariance(p, group, tables)
+            if not check_invariance(p, group, sc.tables)
         ),
         "",
     ))

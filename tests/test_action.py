@@ -10,6 +10,7 @@ import functools
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,12 +18,12 @@ from reflconn import poly
 from reflconn.connection import connection_in_z, jacobian, scaled_connection
 from reflconn.cyclo import CycloNum, euler_phi
 from reflconn.groups import group_from_spec, load_group_spec
-from reflconn.invariants import fundamental_invariants, load_catalog_spec
+from reflconn.invariants import fundamental_invariants, invariants_from_spec, load_catalog_spec
 from reflconn.linalg import mat_inverse, mat_mul
 from reflconn.poly import LinearAction, MPoly, PowerTable
 from reflconn.verify import full_report
 
-from conftest import catalog, rank3_group
+from conftest import RANK3_GENERATORS, catalog, rank3_group
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,6 +117,29 @@ class TestKeptActions:
         images = list(group.action(i).images)
         assert [f.compose(PowerTable(images)) for f in fs] == [f.compose(images) for f in fs]
 
+    @settings(max_examples=30, deadline=None)
+    @given(cases())
+    def test_table_image_is_substituted_once(self, case):
+        group, i, _, fs = case
+        table = group.action(i).power_table()
+        first = [table.image(f) for f in fs]
+        assert first == [f.substitute_linear(group.elements[i]) for f in fs]
+        # every image is remembered, so a second pass substitutes nothing
+        table_substitutes = []
+        original = MPoly.substitute_linear
+
+        def counting(self, action):
+            table_substitutes.append(action is table)
+            return original(self, action)
+
+        MPoly.substitute_linear = counting
+        try:
+            again = [table.image(f) for f in fs]
+        finally:
+            MPoly.substitute_linear = original
+        assert again == first
+        assert not any(table_substitutes)
+
     def test_images_are_the_rows_of_the_inverse(self):
         for label in GROUPS:
             group = action_group(label)
@@ -168,3 +192,40 @@ class TestEachElementInvertedOnce:
             assert type(action) is LinearAction
             assert all(p.total_degree() == 1 for p in action.images)
         assert not any(isinstance(v, PowerTable) for v in vars(group).values())
+
+
+class TestGroupChecksSubstituteOnlyTheInvariants:
+    """Across scaled_connection and full_report, each generator substitutes
+    each invariant once, the Euler potential of its Jacobian row, through
+    the tables kept on the ScaledConnection; no Jacobian entry and no D."""
+
+    @staticmethod
+    def fresh_system(name):
+        if name == "G7":
+            spec = load_catalog_spec(name)
+            group = group_from_spec(spec)
+            return group, invariants_from_spec(spec, group)
+        conductor, generators = RANK3_GENERATORS[name]
+        group = group_from_spec(
+            {"conductor": conductor, "rank": 3, "generators": list(generators)}
+        )
+        return group, fundamental_invariants(group)
+
+    @pytest.mark.parametrize("name", ["G7", "G(3,3,3)"])
+    def test_substitutions_per_system(self, name, monkeypatch):
+        group, phi = self.fresh_system(name)
+        assert group.order == {"G7": 144, "G(3,3,3)": 54}[name]
+        jd = jacobian(phi)
+        degrees = []
+        original = MPoly.substitute_linear
+
+        def counting(self, action):
+            degrees.append(self.total_degree())
+            return original(self, action)
+
+        monkeypatch.setattr(MPoly, "substitute_linear", counting)
+        sc = scaled_connection(jd, group=group)
+        report = full_report(group, phi, jd, sc, connection_in_z(sc, phi))
+        assert report.all_passed
+        assert 0 < len(degrees) <= len(group.generator_indices) * group.rank
+        assert max(degrees) <= max(phi.degrees)

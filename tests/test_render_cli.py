@@ -222,6 +222,23 @@ class TestCli:
         assert main(["verify", str(out_file)]) == 3
         assert "witness: invariant of degree 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("forge", ["zero invariant", "first invariant twice"])
+    def test_verify_rejects_dependent_invariants(self, forge, tmp_path, capsys):
+        # integrability alone passes; the stored invariants have det J = 0
+        out_file = tmp_path / "g4.json"
+        assert main([
+            "compute", "--group", "G4", "--format", "json", "--out", str(out_file),
+        ]) == 0
+        data = json.loads(out_file.read_text())
+        first = data["invariants"][0]
+        data["invariants"] = ["0", "x2^2"] if forge == "zero invariant" else [first, first]
+        out_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out
+        assert captured.err.startswith("error: SingularJacobian")
+
     def test_verify_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/system.json"]) == 2
 

@@ -3,11 +3,13 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflconn.connection import build_system
 from reflconn.errors import DenominatorMismatch
 from reflconn.invariants import InvariantTuple, catalog_names, fundamental_invariants
-from reflconn.linalg import mat_mul, mat_sub
+from reflconn.linalg import det, mat_mul, mat_sub
 from reflconn.poly import MPoly
 from reflconn.verify import (
     VerificationReport,
@@ -201,6 +203,122 @@ class TestIntegrabilityWitnesses:
                     assert got == _reference_integrability(bad)
                     flagged += not all(passed for _, passed, _ in got)
         assert flagged
+
+
+def _reference_group_checks(jd, group):
+    """(name, passed, witness) of every equivariance and then every
+    determinant-character check, by plain substitution: each entry of J and
+    D goes through f(x * M^-T) with the action made afresh from M, and the
+    witness is the first differing entry of J in row-major order."""
+    n = len(jd.jac)
+    out = []
+    for gi, gen in enumerate(group.generators()):
+        lhs = [[e.substitute_linear(gen) for e in row] for row in jd.jac]
+        rhs = mat_mul(jd.jac, gen)
+        where = next(
+            (f"entry ({r + 1},{c + 1})" for r in range(n) for c in range(n)
+             if lhs[r][c] != rhs[r][c]),
+            "",
+        )
+        out.append((f"jacobian_equivariance[gen {gi}]", not where,
+                    f"generator {gi}, {where}" if where else ""))
+    for gi, gen in enumerate(group.generators()):
+        passed = jd.det.substitute_linear(gen) == jd.det * det(gen)
+        out.append((f"det_relative_invariance[gen {gi}]", passed,
+                    "" if passed else f"generator {gi}"))
+    return out
+
+
+def _group_checks(jd, group, tables):
+    checks = check_equivariance(jd, group, tables).checks
+    checks += check_determinant_character(jd, group, tables).checks
+    return [(c.name, c.passed, c.witness) for c in checks]
+
+
+GROUP_CHECK_SYSTEMS = ("G4", "G7", "G(3,3,3)")
+
+
+def _group_check_system(name):
+    group, _, jd, _, _ = pipeline(name) if name in catalog_names() else derived_pipeline(name)
+    return group, jd
+
+
+@st.composite
+def forged_jacobians(draw):
+    """A system's JacobianData with one Jacobian entry, D, or both changed
+    to a * f + b * x_k^e: a scaled entry is no longer a gradient, a power
+    x_c^m added in column c of a row of degree m keeps a gradient but of a
+    non-invariant, and e = m + 1 leaves the row inhomogeneous."""
+    name = draw(st.sampled_from(GROUP_CHECK_SYSTEMS))
+    group, jd = _group_check_system(name)
+    n = len(jd.jac)
+
+    def mutate(f):
+        a = draw(st.sampled_from([1, 1, -1, 2, 0]))
+        b = draw(st.sampled_from([0, 1, -3]))
+        k = draw(st.integers(1, n))
+        e = f.total_degree() + draw(st.integers(0, 1))
+        return f * a + MPoly.variable(k, "x", n, f.conductor) ** max(e, 0) * b
+
+    what = draw(st.sampled_from(["entry", "det", "both"]))
+    jac, d = jd.jac, jd.det
+    if what != "det":
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        jac = tuple(
+            tuple(mutate(e) if (rr, cc) == (r, c) else e for cc, e in enumerate(row))
+            for rr, row in enumerate(jac)
+        )
+    if what != "entry":
+        d = mutate(d)
+    return group, dataclasses.replace(jd, jac=jac, det=d)
+
+
+class TestGroupChecksAgainstPlainSubstitution:
+    @pytest.mark.parametrize("name", GROUP_CHECK_SYSTEMS)
+    def test_honest_systems(self, name):
+        group, jd = _group_check_system(name)
+        expected = _reference_group_checks(jd, group)
+        assert all(passed for _, passed, _ in expected)
+        assert _group_checks(jd, group, group.generator_tables()) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(forged_jacobians())
+    def test_forged_jacobian_data(self, case):
+        group, jd = case
+        expected = _reference_group_checks(jd, group)
+        # with tables shared by both checks, as scaled_connection runs them,
+        # and with each check making its own
+        assert _group_checks(jd, group, group.generator_tables()) == expected
+        assert _group_checks(jd, group, None) == expected
+
+    @pytest.mark.parametrize("name", GROUP_CHECK_SYSTEMS)
+    def test_twice_det_j_passes_by_substituting_d(self, name, monkeypatch):
+        # 2 * det J is relatively invariant but is not det J, so no row
+        # certifies it and D itself is substituted, once per generator
+        group, jd = _group_check_system(name)
+        forged = dataclasses.replace(jd, det=jd.det * 2)
+        substituted = []
+        original = MPoly.substitute_linear
+
+        def recording(self, action):
+            substituted.append(self)
+            return original(self, action)
+
+        monkeypatch.setattr(MPoly, "substitute_linear", recording)
+        report = check_determinant_character(forged, group)
+        monkeypatch.undo()
+        assert report.all_passed
+        assert substituted.count(forged.det) == len(group.generator_indices)
+        assert _group_checks(forged, group, None) == _reference_group_checks(forged, group)
+
+    @pytest.mark.parametrize("name", GROUP_CHECK_SYSTEMS)
+    def test_det_plus_x1_power_fails(self, name):
+        group, jd = _group_check_system(name)
+        x1 = MPoly.variable(1, "x", len(jd.jac), jd.det.conductor)
+        forged = dataclasses.replace(jd, det=jd.det + x1 ** 4)
+        got = _group_checks(forged, group, group.generator_tables())
+        assert got == _reference_group_checks(forged, group)
+        assert not all(passed for _, passed, _ in got)
 
 
 class TestEulerIdentity:
