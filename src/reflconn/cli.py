@@ -41,7 +41,7 @@ def _resolve_group(args):
         spec = load_group_spec(args.spec_file)
     else:
         spec = load_catalog_spec(args.group)
-    if getattr(args, "cap", None):
+    if args.cap is not None:
         spec = dict(spec, cap=args.cap)
     group = group_from_spec(spec)
     inv = invariants_from_spec(spec, group) if spec.get("invariants") else None

@@ -40,9 +40,10 @@ from .verify import CheckResult, check_determinant_character, check_equivariance
 
 @dataclass(frozen=True)
 class JacobianData:
-    jac: tuple[tuple[MPoly, ...], ...]  # row i = gradient of phi_i
+    jac: tuple[tuple[MPoly, ...], ...]  # row i = gradient of phis[i]
     adj: tuple[tuple[MPoly, ...], ...]
     det: MPoly
+    phis: tuple[MPoly, ...]  # the invariants differentiated, for the group checks
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
     d = MPoly.sum_of_products([(1, x, adj[j][0]) for j, x in enumerate(jac[0])])
     if not d:
         raise SingularJacobian("invariants are algebraically dependent")
-    return JacobianData(jac=jac, adj=adj, det=d)
+    return JacobianData(jac=jac, adj=adj, det=d, phis=phi.phis)
 
 
 def delta_apply(ell: int, f: MPoly, jd: JacobianData) -> RatFun:

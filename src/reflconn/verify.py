@@ -5,17 +5,17 @@ proof-grade certificate, with no tolerances anywhere.  Checking only the
 group generators suffices for (equi)variance because the action is a
 group action.
 
-The group checks run through the invariants.  Row r of J is certified
-by its Euler potential psi_r (for J = d(phi), phi_r itself): when
-grad psi_r is the row exactly and a generator M fixes psi_r, the chain
-rule gives gamma_M(row) = row * M, and when D == det J, equivariance gives
+The group checks run through the invariants that jacobian differentiated
+(JacobianData.phis).  Row r of J is certified when it is grad phi_r
+exactly and a generator M fixes phi_r: the chain rule then gives
+gamma_M(row) = row * M, and when every row is certified and D == det J,
 gamma_M(D) = det(M) * D (Kane, Reflection Groups and Invariant Theory,
 section 18).  So each generator substitutes each phi_r once, through one
 PowerTable per generator that remembers every image and that
 scaled_connection keeps on the ScaledConnection for full_report's
-invariance check.  A row or a D that these identities cannot certify is
-substituted as it stands, so every verdict and witness is that of plain
-substitution, for forged JacobianData too.
+invariance check.  A row or a D that is not certified is substituted as
+it stands, so every verdict and witness is that of plain substitution,
+for forged JacobianData too.
 
 Each check is one witness function, recorded and timed by
 VerificationReport.check: it returns "" for a pass and otherwise the text
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -114,59 +113,21 @@ def _first_mismatch(lhs, rhs) -> str:
 check_invariance = is_invariant
 
 
-def _euler_potentials(jac) -> list[MPoly | None]:
-    """The Euler potential of each Jacobian row, or None where it has none.
-
-    Row r, homogeneous of degree m, has psi_r = sum_j x_j * J_rj / (m + 1),
-    kept only when grad psi_r == row r exactly.  For J = d(phi), Euler's
-    identity makes psi_r = phi_r.
-    """
-    potentials = []
-    for row in jac:
-        degrees = {sum(e) for entry in row for e in entry.terms}
-        psi = None
-        if len(degrees) == 1:
-            m = degrees.pop()
-            model = row[0]
-            xs = [
-                MPoly.variable(j + 1, model.alphabet, model.nvars, model.conductor)
-                for j in range(model.nvars)
-            ]
-            psi = MPoly.sum_of_products(
-                (1, x, e) for x, e in zip(xs, row)
-            ) * Fraction(1, m + 1)
-            if any(psi.partial(j + 1) != e for j, e in enumerate(row)):
-                psi = None
-        potentials.append(psi)
-    return potentials
-
-
-def _equivariance_witness(jac, potentials, gen, table) -> str:
-    """'entry (r,c)' for the first entry where gamma_M(J) != J * M, else ''.
-
-    A row whose Euler potential psi the generator fixes is not substituted:
-    gamma_M(grad psi) = grad(gamma_M psi) * M by the chain rule, so the row
-    maps to row * M.  Every other row is substituted entry by entry.  All
-    images go through table.image, so a polynomial is substituted once per
-    table however many checks ask for it.
-    """
-    for r, (row, psi) in enumerate(zip(jac, potentials)):
-        if psi is not None and table.image(psi) == psi:
-            continue
-        for c, (e, target) in enumerate(zip(row, mat_mul((row,), gen)[0])):
-            if table.image(e) != target:
-                return f"entry ({r + 1},{c + 1})"
-    return ""
+def _certified(jd: JacobianData, r: int, table) -> bool:
+    """Whether row r of J maps to row * M under the table's generator M
+    without being substituted: it does when the row is grad phi_r exactly
+    and M fixes phi_r, by the chain rule."""
+    p = jd.phis[r]
+    gradient = tuple(p.partial(j + 1) for j in range(p.nvars))
+    return jd.jac[r] == gradient and table.image(p) == p
 
 
 def check_equivariance(jd: JacobianData, group: GroupData, tables=None) -> VerificationReport:
     """gamma_M(J) == J * M entrywise for every generator.
 
-    Row r is certified through its Euler potential psi_r when the
-    generator fixes it (_equivariance_witness), so for J = d(phi) only
-    phi_r, of degree d_r, is substituted; a row that is not a gradient, or
-    whose potential moves, is substituted entry by entry.  The witness is
-    the first entry that differs, in row-major order.
+    A row that _certified passes is not substituted, so for J = d(phi)
+    only phi_r, of degree d_r, is; every other row is substituted entry by
+    entry.  The witness is the first entry that differs, in row-major order.
 
     tables, one PowerTable per generator (GroupData.generator_tables),
     remember every image, and may be shared with the other group checks of
@@ -175,11 +136,15 @@ def check_equivariance(jd: JacobianData, group: GroupData, tables=None) -> Verif
     report = VerificationReport()
     if tables is None:
         tables = group.generator_tables()
-    potentials = _euler_potentials(jd.jac)
     for gi, (gen, table) in enumerate(zip(group.generators(), tables)):
         def witness():
-            where = _equivariance_witness(jd.jac, potentials, gen, table)
-            return where and f"generator {gi}, {where}"
+            for r, row in enumerate(jd.jac):
+                if _certified(jd, r, table):
+                    continue
+                for c, (e, target) in enumerate(zip(row, mat_mul((row,), gen)[0])):
+                    if table.image(e) != target:
+                        return f"generator {gi}, entry ({r + 1},{c + 1})"
+            return ""
 
         report.check(f"jacobian_equivariance[gen {gi}]", witness)
     return report
@@ -190,21 +155,20 @@ def check_determinant_character(
 ) -> VerificationReport:
     """gamma_M(D) == det(M) * D for every generator.
 
-    When D == det J, tested once by one Laplace det, and the generator
-    passes the equivariance identity, gamma_M(D) = det(J * M) = det(M) * D
+    When _certified passes every row of J for the generator and D == det J,
+    tested once by one Laplace det, gamma_M(D) = det(J * M) = det(M) * D
     with nothing more substituted; through tables shared with
-    check_equivariance, that identity is read off the images it already
-    made.  Otherwise D itself, of degree the reflection count, is
-    substituted and compared.  tables is as for check_equivariance.
+    check_equivariance, the rows' invariants are already substituted.
+    Otherwise D itself, of degree the reflection count, is substituted and
+    compared.  tables is as for check_equivariance.
     """
     report = VerificationReport()
     if tables is None:
         tables = group.generator_tables()
-    potentials = _euler_potentials(jd.jac)
     det_is_det_j = cache(lambda: jd.det == det(jd.jac))
     for gi, (gen, table) in enumerate(zip(group.generators(), tables)):
         def witness():
-            if not _equivariance_witness(jd.jac, potentials, gen, table) and det_is_det_j():
+            if all(_certified(jd, r, table) for r in range(len(jd.jac))) and det_is_det_j():
                 return ""
             return "" if jd.det.substitute_linear(table) == jd.det * det(gen) else (
                 f"generator {gi}"
@@ -326,8 +290,8 @@ def full_report(
     The equivariance and determinant-character results are the ones that
     scaled_connection(jd, group) ran and kept on sc, and the invariance of
     the phi goes through the generator tables it kept there (sc.tables),
-    which already hold the image of every phi_r that certified a Jacobian
-    row, so an honest system substitutes nothing here.
+    which already hold the image of every phi_r whose gradient is its
+    Jacobian row, so an honest system substitutes nothing here.
 
     Together they certify that the differential Galois group over C(z) is
     G.  Y = J solves the system (cross-validation ties it to

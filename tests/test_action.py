@@ -196,8 +196,9 @@ class TestEachElementInvertedOnce:
 
 class TestGroupChecksSubstituteOnlyTheInvariants:
     """Across scaled_connection and full_report, each generator substitutes
-    each invariant once, the Euler potential of its Jacobian row, through
-    the tables kept on the ScaledConnection; no Jacobian entry and no D."""
+    each invariant once, the phi_r whose gradient is Jacobian row r,
+    through the tables kept on the ScaledConnection; no Jacobian entry and
+    no D."""
 
     @staticmethod
     def fresh_system(name):

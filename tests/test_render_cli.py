@@ -348,6 +348,13 @@ class TestCli:
         assert main(["compute", "--group", "G(2,1,2)", "--cap", "4"]) == 2
         assert "CapExceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_non_positive_cap_is_rejected(self, cap, capsys):
+        assert main(["invariants", "--group", "G4", "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidSpec: cap must be a positive integer")
+
     def test_verbose_report(self, capsys):
         assert main(["compute", "--group", "G(2,1,2)", "-v"]) == 0
         err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflconn.connection import build_system
+from reflconn.connection import build_system, jacobian
 from reflconn.errors import DenominatorMismatch
 from reflconn.invariants import InvariantTuple, catalog_names, fundamental_invariants
 from reflconn.linalg import det, mat_mul, mat_sub
@@ -319,6 +319,53 @@ class TestGroupChecksAgainstPlainSubstitution:
         got = _group_checks(forged, group, group.generator_tables())
         assert got == _reference_group_checks(forged, group)
         assert not all(passed for _, passed, _ in got)
+
+
+def _gradient_forgeries(jd):
+    """(label, forged row index, JacobianData) whose Jacobian is still a
+    gradient of invariants, but not of jd.phis: rows 1 and 2 swapped, and
+    each row r times 2 or times -1, the gradient of 2 * phi_r or -phi_r."""
+    jac = jd.jac
+    yield "swap", 0, dataclasses.replace(jd, jac=(jac[1], jac[0], *jac[2:]))
+    for r in range(len(jac)):
+        for scale in (2, -1):
+            rows = tuple(
+                tuple(e * scale for e in row) if i == r else row for i, row in enumerate(jac)
+            )
+            yield f"row {r + 1} times {scale}", r, dataclasses.replace(jd, jac=rows)
+
+
+class TestGradientsOfOtherInvariants:
+    """Rows that are gradients of invariants other than the phi that
+    jacobian differentiated are not certified: they, and D, are substituted
+    as they stand, and every verdict and witness is plain substitution's."""
+
+    def test_jacobian_keeps_its_invariants(self):
+        _, phi, jd, _, _ = pipeline("G4")
+        assert jacobian(phi).phis == phi.phis
+        assert dataclasses.replace(jd, jac=jd.jac[::-1]).phis == jd.phis
+
+    @pytest.mark.parametrize("name", GROUP_CHECK_SYSTEMS)
+    def test_forged_rows_are_substituted(self, name, monkeypatch):
+        group, jd = _group_check_system(name)
+        original = MPoly.substitute_linear
+        for label, r, forged in _gradient_forgeries(jd):
+            expected = _reference_group_checks(forged, group)
+            # every row is still equivariant and D relatively invariant
+            assert all(passed for _, passed, _ in expected), label
+            for tables in (group.generator_tables(), None):
+                substituted = []
+
+                def recording(self, action):
+                    substituted.append(self)
+                    return original(self, action)
+
+                monkeypatch.setattr(MPoly, "substitute_linear", recording)
+                got = _group_checks(forged, group, tables)
+                monkeypatch.undo()
+                assert got == expected, label
+                assert all(e in substituted for e in forged.jac[r] if e), label
+                assert forged.det in substituted, label
 
 
 class TestEulerIdentity:
