@@ -7,12 +7,11 @@ Exit codes: 0 success, 2 input error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .connection import connection_in_z, jacobian, scaled_connection
 from .errors import NonInvariantEntry, ReflconnError
-from .groups import DEFAULT_CAP, group_from_spec, load_group_spec
+from .groups import DEFAULT_CAP, group_from_spec, load_group_spec, read_json
 from .invariants import (
     catalog_names,
     fundamental_invariants,
@@ -92,9 +91,7 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        cs = system_from_dict(data)
+        cs = system_from_dict(read_json(args.path, "stored system"))
     except (OSError, ValueError, KeyError, ReflconnError) as exc:
         print(f"error: cannot load system: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -33,6 +33,11 @@ from .errors import ConductorMismatch, InvalidSpec
 # phi(N)^2 integers.
 MAX_CONDUCTOR = 1000
 
+# Largest rank accepted, in spec files and stored artifacts alike: the
+# largest rank of an exceptional group (G37 = E8).  The Laplace det and
+# adjugate of the Jacobian cost O(rank!).
+MAX_RANK = 8
+
 
 def euler_phi(n: int) -> int:
     result = n

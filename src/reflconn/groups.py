@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import lcm
 
-from .cyclo import CycloNum
+from .cyclo import MAX_RANK, CycloNum
 from .errors import (
     CapExceeded,
     InvalidSpec,
@@ -268,6 +268,8 @@ def group_from_spec(spec: dict) -> GroupData:
         raise InvalidSpec(f"conductor must be a positive integer, got {conductor!r}")
     if not is_positive_int(rank):
         raise InvalidSpec(f"rank must be a positive integer, got {rank!r}")
+    if rank > MAX_RANK:
+        raise InvalidSpec(f"rank must be at most {MAX_RANK}, got {rank}")
     if not isinstance(generators, list) or not generators:
         raise InvalidSpec("generators must be a non-empty list of matrices")
     for g in generators:
@@ -283,12 +285,20 @@ def group_from_spec(spec: dict) -> GroupData:
     return validate_reflection_group(group)
 
 
+def read_json(path, what: str):
+    """The JSON value in the file at path.  InvalidSpec names what the file
+    is when it is not UTF-8, not JSON, or nested too deep to decode."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidSpec(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidSpec(f"{what} is nested too deep to decode") from None
+
+
 def load_group_spec(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"spec file is not valid JSON: {exc}") from None
+    spec = read_json(path, "spec file")
     if not isinstance(spec, dict):
         raise InvalidSpec("spec file must hold a JSON object")
     return spec

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .connection import ConnectionSystem
-from .cyclo import CycloNum, signed_sum, zeta_power
+from .cyclo import MAX_RANK, CycloNum, signed_sum, zeta_power
 from .errors import DenominatorMismatch, InvalidSpec, NotDivisible
 from .groups import is_matrix, is_positive_int
 from .invariants import InvariantTuple
@@ -180,6 +180,8 @@ def _check_header(data) -> None:
         if (key != "m" or key in data) and not is_positive_int(data.get(key)):
             raise InvalidSpec(f"{key} must be a positive integer, got {data.get(key)!r}")
     rank = data["rank"]
+    if rank > MAX_RANK:
+        raise InvalidSpec(f"rank must be at most {MAX_RANK}, got {rank}")
     invariants = data.get("invariants")
     if (
         not isinstance(invariants, list)

@@ -91,6 +91,105 @@ class TestErrors:
             parse_scalar("x1 + 1", 12)
 
 
+_BIG = "9" * MAX_DIGITS
+_SUM_OF_40 = "(" + " + ".join(f"x1^{i}" for i in range(40)) + ")"
+_SUM_OF_51 = "(" + " + ".join(f"x2^{j}" for j in range(51)) + ")"
+
+# (text, nvars, error, message, position): one row per raise site of the
+# parser; nvars None parses the text with parse_scalar.  The message and the
+# position are both pinned, since a token's position is found only when an
+# error is raised.
+ERROR_TABLE = {
+    # an unexpected character stands where its token's leading blanks start
+    "unexpected_character": ("x1 ? x2", 2, ExprSyntaxError, "unexpected character '?'", 2),
+    "digit_run_in_number": (
+        "x1 + " + "7" * (MAX_DIGITS + 1), 2, ExprSyntaxError,
+        f"more than {MAX_DIGITS} digits", 5,
+    ),
+    "digit_run_in_index": (
+        "x1 + x" + "1" * (MAX_DIGITS + 1), 2, ExprSyntaxError,
+        f"more than {MAX_DIGITS} digits", 5,
+    ),
+    "denominator_at_end": ("x1 + 2/", 2, ExprSyntaxError, "expected denominator", 7),
+    "denominator_before_token": ("2/x1", 2, ExprSyntaxError, "expected denominator", 2),
+    "zero_denominator": ("x1 + 3/0", 2, ExprSyntaxError, "zero denominator", 7),
+    "exponent_at_end": ("x1 + x2^ ", 2, ExprSyntaxError, "expected integer exponent", 9),
+    "exponent_before_token": ("x1^x2", 2, ExprSyntaxError, "expected integer exponent", 3),
+    "exponent_bound": (
+        f"x1 * x2^{MAX_DEGREE + 1}", 2, ExprSyntaxError,
+        f"exponent or total degree above {MAX_DEGREE}", 8,
+    ),
+    "power_degree_bound": (
+        f"(x1*x2)^{MAX_DEGREE // 2 + 1}", 2, ExprSyntaxError,
+        f"exponent or total degree above {MAX_DEGREE}", 8,
+    ),
+    "total_degree_bound": (
+        "x1^600 * x2^401", 2, ExprSyntaxError, f"total degree above {MAX_DEGREE}", 9,
+    ),
+    "power_term_bound": (
+        "x1 + (x1 + x2 + x3)^300", 3, ExprSyntaxError,
+        f"power of more than {MAX_TERMS} terms", 20,
+    ),
+    "product_term_bound": (
+        f"{_SUM_OF_40}*{_SUM_OF_51}", 2, ExprSyntaxError,
+        f"product of more than {MAX_TERMS} terms", len(_SUM_OF_40) + 1,
+    ),
+    "coefficient_bound_at_factor": (
+        f"x2 + {_BIG}*{_BIG}*x1", 2, ExprSyntaxError,
+        f"coefficient of more than {MAX_DIGITS} digits", len(f"x2 + {_BIG}*"),
+    ),
+    "coefficient_bound_of_sum": (
+        f"{_BIG} + {_BIG}", 2, ExprSyntaxError,
+        f"coefficient of more than {MAX_DIGITS} digits", 0,
+    ),
+    "coefficient_bound_of_part": (
+        f"x1*(1/{_BIG} + 1/{'9' * (MAX_DIGITS - 1)}8)", 2, ExprSyntaxError,
+        f"coefficient of more than {MAX_DIGITS} digits", 4,
+    ),
+    "coefficient_bound_before_power": (
+        f"x1 + ({'9' * 20}*x1)^200", 2, ExprSyntaxError,
+        f"coefficient of more than {MAX_DIGITS} digits", len(f"x1 + ({'9' * 20}*x1)^"),
+    ),
+    "nesting_bound": (
+        "x1 + " + "(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1), 2,
+        ExprSyntaxError, f"parentheses nested deeper than {MAX_NESTING}", 5 + MAX_NESTING,
+    ),
+    "expected_close_paren": ("(x1^2^3)", 2, ExprSyntaxError, "expected ')'", 5),
+    "unclosed_paren_at_end": ("(x1 + x2", 2, ExprSyntaxError, "expected ')'", 8),
+    "unexpected_token": ("x1 + *x2", 2, ExprSyntaxError, "unexpected token '*'", 5),
+    "unexpected_end": ("x1 + ", 2, ExprSyntaxError, "unexpected token ''", 5),
+    "empty_text": ("", 2, ExprSyntaxError, "unexpected token ''", 0),
+    "unexpected_trailing": ("x1^2^3", 2, ExprSyntaxError, "unexpected trailing '^'", 4),
+    "trailing_factor": ("x1 x2", 2, ExprSyntaxError, "unexpected trailing 'x2'", 3),
+    "unknown_symbol": ("x1 + y2", 2, UnknownVariable, "unknown symbol 'y2'", 5),
+    "unknown_name": ("2*zeta3", 2, UnknownVariable, "unknown symbol 'zeta3'", 2),
+    "variable_out_of_range": ("x1*x3", 2, UnknownVariable, "variable 'x3' out of range", 3),
+    "variable_zero": ("x0", 2, UnknownVariable, "variable 'x0' out of range", 0),
+    # x01 and x02 read as x1 and x2; x03 keeps its text in the message
+    "leading_zero_index": (
+        "x01^2 + x02*x03", 2, UnknownVariable, "variable 'x03' out of range", 12,
+    ),
+    "scalar_with_variable": ("1 + x1", None, ExprSyntaxError, "expected a scalar expression", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_TABLE))
+def test_error_message_and_position(case):
+    text, nvars, error, message, position = ERROR_TABLE[case]
+    with pytest.raises(ExprSyntaxError) as exc:
+        if nvars is None:
+            parse_scalar(text, 12)
+        else:
+            px(text, nvars=nvars)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+def test_leading_zero_index_reads_as_the_index():
+    assert px("x01^2 + x002") == px("x1^2 + x2")
+
+
 class TestRoundTrip:
     def test_catalog_invariants_round_trip(self):
         for s in (

@@ -380,10 +380,22 @@ def _run_cli(*argv):
 
 
 def _spec_file(tmp_path, spec):
-    """A spec file holding spec as JSON, or the text itself if spec is a str."""
+    """A spec file holding spec as JSON, or the text or bytes themselves if
+    spec is a str or bytes."""
     path = tmp_path / "spec.json"
-    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     return str(path)
+
+
+# files that no JSON reader of the CLI can decode: the verify cases read them
+# as stored systems, and BAD_INPUTS reads them as spec files
+UNREADABLE_JSON = {
+    "not_utf8": b"\xff\xfe{}",
+    "nested_too_deep": "[" * 200_000 + "]" * 200_000,
+}
 
 
 BAD_INPUTS = {
@@ -460,6 +472,10 @@ BAD_INPUTS = {
     ),
     "not_a_json_object": (["compute"], ["a", "list"]),
     "invalid_json": (["compute"], "{not json"),
+    "not_utf8": (["compute"], UNREADABLE_JSON["not_utf8"]),
+    "not_utf8_invariants": (["invariants"], UNREADABLE_JSON["not_utf8"]),
+    "nested_too_deep": (["compute"], UNREADABLE_JSON["nested_too_deep"]),
+    "nested_too_deep_rewrite": (["rewrite", "x1^2"], UNREADABLE_JSON["nested_too_deep"]),
 }
 
 
@@ -484,6 +500,35 @@ class TestInputBoundary:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+    def test_verify_unreadable_json_exits_2(self, case, tmp_path):
+        proc = _run_cli("verify", _spec_file(tmp_path, UNREADABLE_JSON[case]))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot load system: stored system is ")
+
+    def test_rank_above_bound_exits_2_at_once(self, tmp_path):
+        # the Laplace det and adjugate of the Jacobian cost O(rank!): a zero
+        # system with invariants x_i^i, and the group that diag(-1, 1, ..., 1)
+        # generates, are refused at rank 9 before either is built
+        rank = 9
+        zero = [[{"num": "0", "den": "1"}] * rank] * rank
+        artifact = dict(group="zero", conductor=1, rank=rank,
+                        invariants=[f"x{i}^{i}" for i in range(1, rank + 1)],
+                        denominator="1", matrices=[zero] * rank)
+        path = tmp_path / "rank9.json"
+        path.write_text(json.dumps(artifact))
+        reflection = [["-1" if i == j == 0 else "1" if i == j else "0" for j in range(rank)]
+                      for i in range(rank)]
+        spec = _spec_file(tmp_path, dict(conductor=1, rank=rank, generators=[reflection]))
+        for argv in (["verify", str(path)], ["compute", "--spec-file", spec]):
+            t0 = time.perf_counter()
+            proc = _run_cli(*argv)
+            assert time.perf_counter() - t0 < 1.0
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert "rank must be at most 8, got 9" in proc.stderr
 
     @pytest.mark.parametrize("key, value", [
         ("conductor", "12"),
