@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import lcm
@@ -17,7 +18,7 @@ from .errors import (
 )
 from .linalg import det, identity_matrix, mat_mul, mat_rank, mat_sub
 from .parsing import parse_scalar
-from .poly import LinearAction, MPoly, PowerTable
+from .poly import MPoly, PowerTable, linear_images
 
 DEFAULT_CAP = 1 << 20
 
@@ -34,9 +35,10 @@ class GroupData:
     det_char_order are filled in by validate_reflection_group.
 
     Two things are made on first use and kept, so that no element is
-    inverted twice and no coset is looked up twice: actions holds each
-    element's action on polynomials in x (action), n linear forms per
-    element, the size of the element table itself, and never their powers;
+    inverted twice and no coset is looked up twice: actions holds the n
+    linear images of x1..xn under each acting element (linear_images),
+    the size of the element table itself, and never their powers, which
+    live in the PowerTable that action makes afresh over them;
     diagonal_cosets holds the diagonal subgroup H and the index of one
     representative per left coset tH.
     """
@@ -50,7 +52,7 @@ class GroupData:
     reflection_indices: tuple[int, ...] = ()
     det_char_order: int = 0
     name: str = ""
-    actions: dict[int, LinearAction] = field(
+    actions: dict[int, tuple[MPoly, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -61,19 +63,18 @@ class GroupData:
     def generators(self) -> list[Matrix]:
         return [self.elements[i] for i in self.generator_indices]
 
-    def action(self, i: int) -> LinearAction:
-        """The action f(x) -> f(x * M^{-T}) of element i, kept from its
-        first use."""
-        act = self.actions.get(i)
-        if act is None:
-            act = self.actions[i] = LinearAction(self.elements[i], "x", self.conductor)
-        return act
+    def action(self, i: int) -> PowerTable:
+        """A fresh table for the action f(x) -> f(x * M^{-T}) of element i,
+        over the images kept from the element's first use."""
+        images = self.actions.get(i)
+        if images is None:
+            images = self.actions[i] = linear_images(self.elements[i], "x", self.conductor)
+        return PowerTable(images)
 
     def generator_tables(self) -> tuple[PowerTable, ...]:
-        """One fresh power table per generator, over its kept action, for
-        its holder to share among the polynomials it substitutes; none is
-        kept here."""
-        return tuple(self.action(i).power_table() for i in self.generator_indices)
+        """One fresh table per generator, for its holder to share among the
+        polynomials it substitutes."""
+        return tuple(map(self.action, self.generator_indices))
 
     @cached_property
     def diagonal_cosets(self) -> tuple[tuple[tuple[CycloNum, ...], ...], tuple[int, ...]]:
@@ -123,11 +124,21 @@ def close_group(generators, cap: int = DEFAULT_CAP, name: str = "") -> GroupData
         raise ValueError("need at least one generator")
     n = len(gens[0])
     conductor = gens[0][0][0].conductor
-    for g in gens:
+    for k, g in enumerate(gens):
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("generators must be square matrices of equal size")
-        if not det(g):
+        d = det(g)
+        if not d:
             raise SingularMatrix("singular generator")
+        # an element of finite order has a root of unity as determinant,
+        # and every root of unity in Q(zeta_N) has order dividing lcm(2, N)
+        try:
+            d.multiplicative_order(cap=lcm(2, conductor))
+        except ValueError:
+            raise NotAReflectionGroup(
+                f"generator {k + 1} ({_matrix_print(g)}) has infinite order: "
+                f"its determinant {d} is not a root of unity"
+            ) from None
     gens.sort(key=_matrix_print)
 
     ident = identity_matrix(n, conductor)
@@ -246,6 +257,20 @@ def is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
+_SHORT_REPR = reprlib.Repr()
+_SHORT_REPR.maxlevel = 2
+MAX_SHOWN = 60
+
+
+def describe(value) -> str:
+    """A rejected value for an error message: a prefix of its repr of at
+    most MAX_SHOWN characters, then its type."""
+    text = _SHORT_REPR.repr(value)
+    if len(text) > MAX_SHOWN:
+        text = text[: MAX_SHOWN - 3] + "..."
+    return f"{text} ({type(value).__name__})"
+
+
 def is_matrix(value, rank: int, is_entry) -> bool:
     """Whether value is a rank x rank list of lists of entries passing is_entry."""
     return isinstance(value, list) and len(value) == rank and all(
@@ -265,21 +290,21 @@ def group_from_spec(spec: dict) -> GroupData:
     rank = spec.get("rank")
     generators = spec.get("generators")
     if not is_positive_int(conductor):
-        raise InvalidSpec(f"conductor must be a positive integer, got {conductor!r}")
+        raise InvalidSpec(f"conductor must be a positive integer, got {describe(conductor)}")
     if not is_positive_int(rank):
-        raise InvalidSpec(f"rank must be a positive integer, got {rank!r}")
+        raise InvalidSpec(f"rank must be a positive integer, got {describe(rank)}")
     if rank > MAX_RANK:
-        raise InvalidSpec(f"rank must be at most {MAX_RANK}, got {rank}")
+        raise InvalidSpec(f"rank must be at most {MAX_RANK}, got {describe(rank)}")
     if not isinstance(generators, list) or not generators:
         raise InvalidSpec("generators must be a non-empty list of matrices")
     for g in generators:
         if not is_matrix(g, rank, lambda e: isinstance(e, str)):
             raise InvalidSpec(
-                f"generator {g!r} is not a {rank}x{rank} matrix of entry strings"
+                f"generator {describe(g)} is not a {rank}x{rank} matrix of entry strings"
             )
     cap = spec.get("cap", DEFAULT_CAP)
     if not is_positive_int(cap):
-        raise InvalidSpec(f"cap must be a positive integer, got {cap!r}")
+        raise InvalidSpec(f"cap must be a positive integer, got {describe(cap)}")
     gens = [parse_matrix(g, conductor) for g in generators]
     group = close_group(gens, cap=cap, name=spec.get("name", ""))
     return validate_reflection_group(group)
@@ -287,11 +312,12 @@ def group_from_spec(spec: dict) -> GroupData:
 
 def read_json(path, what: str):
     """The JSON value in the file at path.  InvalidSpec names what the file
-    is when it is not UTF-8, not JSON, or nested too deep to decode."""
+    is when it is not UTF-8, not JSON, holds an integer too long for int(),
+    or is nested too deep to decode."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise InvalidSpec(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InvalidSpec(f"{what} is nested too deep to decode") from None

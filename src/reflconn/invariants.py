@@ -5,7 +5,8 @@ known invariants.
 Both derivations read what the group keeps: the degrees count the fixed
 space dimensions that close_group records for each element, and the
 Reynolds operator averages over the cosets of the diagonal subgroup
-(GroupData.diagonal_cosets), acting through one kept action per coset.
+(GroupData.diagonal_cosets), acting through the kept images of one
+representative per coset (GroupData.action).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ polynomials alike: they serve the Jacobian over MPoly and the scalar
 determinants of group elements.  Each entry of a matrix product and
 each level of a Laplace expansion is one call to the entries' class's
 sum_of_products.  mat_inverse serves the group action f(x) -> f(x * M^{-T}):
-it makes the images of poly.LinearAction, which a group keeps for each
-element, so that an element is inverted once per group.
+poly.linear_images reads the images of x1..xn off the rows of M^{-1},
+and a group keeps them for each element, so that an element is inverted
+once per group.
 Row reduction and solving are restricted to CycloNum, where every nonzero
 pivot is invertible.
 """

@@ -100,7 +100,7 @@ def _split(text: str) -> list[str]:
         for m in _TOKEN_RE.finditer(text):
             token = m[1]
             if _BAD_CHAR.match(token):
-                raise ExprSyntaxError(f"unexpected character {token!r}", m.start())
+                raise ExprSyntaxError(f"unexpected character {token!r}", m.start(1))
             if len(_DIGIT_RUN.search(token)[0]) > MAX_DIGITS:
                 raise ExprSyntaxError(f"more than {MAX_DIGITS} digits", m.start(1))
     tokens.append("")

@@ -317,15 +317,12 @@ class MPoly:
     def substitute_linear(self, action) -> "MPoly":
         """Apply the group action f(x) -> f(x * M^{-T}) for an invertible M.
 
-        action is M itself, its LinearAction, or a PowerTable over the
-        action's images (LinearAction.power_table) that several
-        polynomials share.  Given M, the action is made afresh, by one
-        mat_inverse, in this polynomial's space.
+        action is M itself, or a PowerTable over the action's images
+        (GroupData.action) that several polynomials share.  Given M, the
+        images are made afresh (linear_images) in this polynomial's space.
         """
-        if isinstance(action, LinearAction):
-            action = action.images
-        elif not isinstance(action, PowerTable):
-            action = LinearAction(action, self.alphabet, self.conductor).images
+        if not isinstance(action, PowerTable):
+            action = linear_images(action, self.alphabet, self.conductor)
         return self.compose(action)
 
     # -- equality & printing -------------------------------------------------
@@ -380,8 +377,8 @@ class PowerTable:
 
     A table lives as long as its holder keeps it: one composition, or the
     group checks of one system (ScaledConnection.tables), which also share
-    the image of every polynomial substituted through it (image); none is
-    kept on a group.
+    the image of every polynomial substituted through it (image).  A group
+    keeps only the args, its elements' linear images (GroupData.action).
     """
 
     __slots__ = ("args", "one", "_powers", "_images")
@@ -411,28 +408,16 @@ class PowerTable:
         return img
 
 
-class LinearAction:
-    """The action f(x) -> f(x * M^{-T}) of an invertible M, as the images
-    of the n variables: x_j maps to sum_i B[i][j] * x_i with B = M^{-T}, so
-    its coefficients are row j of M^{-1}, made by one mat_inverse.
-
-    It holds the n linear image forms only; their powers belong to a
-    PowerTable (power_table), which lives no longer than its holder.
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, matrix, alphabet: str, conductor: int):
-        n = len(matrix)
-        units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-        self.images = tuple(
-            MPoly(alphabet, n, conductor, dict(zip(units, row)))
-            for row in mat_inverse(matrix)
-        )
-
-    def power_table(self) -> PowerTable:
-        """A fresh table of the images' powers, to share among polynomials."""
-        return PowerTable(self.images)
+def linear_images(matrix, alphabet: str, conductor: int) -> tuple[MPoly, ...]:
+    """The images of the n variables under f(x) -> f(x * M^{-T}) for an
+    invertible M: x_j maps to sum_i B[i][j] * x_i with B = M^{-T}, so its
+    coefficients are row j of M^{-1}, made by one mat_inverse."""
+    n = len(matrix)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return tuple(
+        MPoly(alphabet, n, conductor, dict(zip(units, row)))
+        for row in mat_inverse(matrix)
+    )
 
 
 def cyclotomic_polynomial(n: int, alphabet: str = "x", conductor: int | None = None) -> MPoly:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .connection import ConnectionSystem
 from .cyclo import MAX_RANK, CycloNum, signed_sum, zeta_power
 from .errors import DenominatorMismatch, InvalidSpec, NotDivisible
-from .groups import is_matrix, is_positive_int
+from .groups import describe, is_matrix, is_positive_int
 from .invariants import InvariantTuple
 from .parsing import parse_expr
 from .poly import MPoly, RatFun
@@ -178,10 +178,10 @@ def _check_header(data) -> None:
     # m, the scaling exponent that older artifacts carry, is optional
     for key in ("conductor", "rank", "m"):
         if (key != "m" or key in data) and not is_positive_int(data.get(key)):
-            raise InvalidSpec(f"{key} must be a positive integer, got {data.get(key)!r}")
+            raise InvalidSpec(f"{key} must be a positive integer, got {describe(data.get(key))}")
     rank = data["rank"]
     if rank > MAX_RANK:
-        raise InvalidSpec(f"rank must be at most {MAX_RANK}, got {rank}")
+        raise InvalidSpec(f"rank must be at most {MAX_RANK}, got {describe(rank)}")
     invariants = data.get("invariants")
     if (
         not isinstance(invariants, list)

@@ -1,9 +1,10 @@
 """The group action through kept actions and shared power tables.
 
-A group keeps the LinearAction of each element that acts, the images of
-x1..xn under x -> x * M^{-T}, from its first use; a PowerTable over those images lets
-several polynomials share their powers.  Both must give exactly what a
-substitution by the matrix itself gives.
+A group keeps, for each element that acts, the images of x1..xn under
+x -> x * M^{-T} as a tuple of linear forms, from its first use; group.action
+makes a fresh PowerTable over that tuple, which lets several polynomials
+share their powers.  It must give exactly what a substitution by the matrix
+itself gives.
 """
 
 import functools
@@ -20,7 +21,7 @@ from reflconn.cyclo import CycloNum, euler_phi
 from reflconn.groups import group_from_spec, load_group_spec
 from reflconn.invariants import fundamental_invariants, invariants_from_spec, load_catalog_spec
 from reflconn.linalg import mat_inverse, mat_mul
-from reflconn.poly import LinearAction, MPoly, PowerTable
+from reflconn.poly import MPoly, PowerTable
 from reflconn.verify import full_report
 
 from conftest import RANK3_GENERATORS, catalog, rank3_group
@@ -108,20 +109,23 @@ class TestKeptActions:
     @given(cases())
     def test_shared_table_equals_fresh_tables(self, case):
         group, i, _, fs = case
-        table = group.action(i).power_table()
+        table = group.action(i)
+        # each call makes a fresh table over the one kept tuple of images
+        other = group.action(i)
+        assert other is not table and other.args is table.args is group.actions[i]
         shared = [f.substitute_linear(table) for f in fs]
         # the same table again, in the other order, once its powers are built
         again = [f.substitute_linear(table) for f in reversed(fs)][::-1]
         fresh = [f.substitute_linear(group.elements[i]) for f in fs]
         assert shared == again == fresh
-        images = list(group.action(i).images)
+        images = list(group.action(i).args)
         assert [f.compose(PowerTable(images)) for f in fs] == [f.compose(images) for f in fs]
 
     @settings(max_examples=30, deadline=None)
     @given(cases())
     def test_table_image_is_substituted_once(self, case):
         group, i, _, fs = case
-        table = group.action(i).power_table()
+        table = group.action(i)
         first = [table.image(f) for f in fs]
         assert first == [f.substitute_linear(group.elements[i]) for f in fs]
         # every image is remembered, so a second pass substitutes nothing
@@ -145,7 +149,7 @@ class TestKeptActions:
             group = action_group(label)
             for i in sample(group):
                 inverse = mat_inverse(group.elements[i])
-                for image, row in zip(group.action(i).images, inverse):
+                for image, row in zip(group.action(i).args, inverse):
                     assert image.total_degree() == 1
                     assert [image.coefficient(e) for e in _units(group.rank)] == list(row)
 
@@ -188,9 +192,9 @@ class TestEachElementInvertedOnce:
         # and the generators (the checks), never their powers
         _, representatives = group.diagonal_cosets
         assert set(group.actions) == set(representatives) | set(group.generator_indices)
-        for action in group.actions.values():
-            assert type(action) is LinearAction
-            assert all(p.total_degree() == 1 for p in action.images)
+        for images in group.actions.values():
+            assert type(images) is tuple and len(images) == group.rank
+            assert all(p.total_degree() == 1 for p in images)
         assert not any(isinstance(v, PowerTable) for v in vars(group).values())
 
 

@@ -48,6 +48,12 @@ class TestClosure:
         with pytest.raises(SingularMatrix):
             close_group([parse_matrix([["1", "1"], ["1", "1"]], 12)])
 
+    def test_generator_of_infinite_order(self):
+        # det 2 is no root of unity, so closing would stop only at the cap
+        double = parse_matrix([["2", "0"], ["0", "1"]], 12)
+        with pytest.raises(NotAReflectionGroup, match="generator 2 .* infinite order"):
+            close_group([SWAP, double])
+
     def test_closed_under_product_and_inverse(self):
         g = close_group([SWAP, DIAG])
         elems = set(g.elements)

@@ -100,8 +100,8 @@ _SUM_OF_51 = "(" + " + ".join(f"x2^{j}" for j in range(51)) + ")"
 # position are both pinned, since a token's position is found only when an
 # error is raised.
 ERROR_TABLE = {
-    # an unexpected character stands where its token's leading blanks start
-    "unexpected_character": ("x1 ? x2", 2, ExprSyntaxError, "unexpected character '?'", 2),
+    # an unexpected character stands at the character, past its leading blanks
+    "unexpected_character": ("x1 ? x2", 2, ExprSyntaxError, "unexpected character '?'", 3),
     "digit_run_in_number": (
         "x1 + " + "7" * (MAX_DIGITS + 1), 2, ExprSyntaxError,
         f"more than {MAX_DIGITS} digits", 5,

@@ -476,6 +476,10 @@ BAD_INPUTS = {
     "not_utf8_invariants": (["invariants"], UNREADABLE_JSON["not_utf8"]),
     "nested_too_deep": (["compute"], UNREADABLE_JSON["nested_too_deep"]),
     "nested_too_deep_rewrite": (["rewrite", "x1^2"], UNREADABLE_JSON["nested_too_deep"]),
+    # more digits than int() converts from a string (4300 from Python 3.11 on)
+    "integer_too_long": (
+        ["compute"], '{"conductor": ' + "1" * 5000 + ', "rank": 1, "generators": [[["-1"]]]}'
+    ),
 }
 
 
@@ -529,6 +533,36 @@ class TestInputBoundary:
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
             assert "rank must be at most 8, got 9" in proc.stderr
+
+    def test_long_rejected_value_gives_a_short_error(self, tmp_path):
+        # the error names the value's type and a bounded prefix of it
+        conductor = list(range(200_000))
+        spec = _spec_file(
+            tmp_path, dict(conductor=conductor, rank=2, generators=[[["1", "0"], ["0", "1"]]])
+        )
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps(dict(
+            group="g", conductor=conductor, rank=2, invariants=[], denominator="1", matrices=[]
+        )))
+        for argv in (["compute", "--spec-file", spec], ["verify", str(artifact)]):
+            proc = _run_cli(*argv)
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert "conductor must be a positive integer, got [0, 1, 2" in proc.stderr
+            assert "(list)" in proc.stderr
+            assert len(proc.stderr.encode()) < 300
+
+    def test_generator_of_infinite_order_exits_2_at_once(self, tmp_path):
+        # diag(2, 1) would be closed until the default cap of 2^20 elements
+        spec = _spec_file(
+            tmp_path, dict(conductor=12, rank=2, generators=[[["2", "0"], ["0", "1"]]])
+        )
+        t0 = time.perf_counter()
+        proc = _run_cli("compute", "--spec-file", spec)
+        assert time.perf_counter() - t0 < 1.0
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "generator 1 (2,0;0,1) has infinite order" in proc.stderr
 
     @pytest.mark.parametrize("key, value", [
         ("conductor", "12"),
