@@ -27,7 +27,7 @@ from .render import (
     system_from_dict,
 )
 from .rewrite import Rewriter
-from .verify import check_integrability, check_rank_one, full_report
+from .verify import check_integrability, check_rank_one, check_torsion_free, full_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,6 +98,7 @@ def cmd_verify(args) -> int:
     if cs.rank > 1:
         jacobian(cs.invariants_used)  # SingularJacobian for dependent invariants
         report = check_integrability(cs)
+        report.checks.extend(check_torsion_free(cs).checks)
     else:
         report = check_rank_one(cs)
     print(report.render())

@@ -22,6 +22,18 @@ every entry of Omega_l are invariant polynomials and are rewritten in the
 invariant coordinates z.  The invariants phi_k are homogeneous of degrees
 d_k, so each entry's degree is fixed: entry (r,c) of Omega_l is homogeneous
 of degree deg Delta + d_r - d_l - d_c.
+
+The connection is torsion-free.  Differentiating J * J^{-1} = I along z_l
+gives (A_l)_rs = -sum_j (dz_r/dx_j) * d^2 x_j / dz_l dz_s, which is
+symmetric in l and s, so
+
+    Omega_l[r][s] = Omega_s[r][l].
+
+scaled_connection therefore forms only the columns c >= l of R_l, n(n+1)/2
+of the n^2 column products, and takes entry (r,c) with c < l to be the same
+object as Omega_c[r][l].  The identity is one about a Jacobian, so it
+refuses JacobianData whose rows are not the gradients of its invariants.
+connection_in_z rewrites each distinct entry once.
 """
 
 from __future__ import annotations
@@ -86,9 +98,7 @@ def jacobian(phi: InvariantTuple, det_char_order: int = 1) -> JacobianData:
     n = len(phi.phis)
     if phi.phis[0].nvars != n:
         raise ValueError(f"{n} invariants in {phi.phis[0].nvars} variables")
-    jac = tuple(
-        tuple(p.partial(j + 1) for j in range(n)) for p in phi.phis
-    )
+    jac = tuple(p.gradient() for p in phi.phis)
     adj = adjugate(jac)
     d = MPoly.sum_of_products([(1, x, adj[j][0]) for j, x in enumerate(jac[0])])
     if not d:
@@ -115,6 +125,10 @@ def _excess(group: GroupData) -> MPoly | None:
 def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     """Numerator matrices Omega_l over the discriminant Delta, fully polynomial.
 
+    Each row of jd.jac must be the gradient of the invariant in jd.phis it
+    came from, else ValueError: the torsion symmetry that halves the build
+    (module docstring) holds for a Jacobian only.
+
     The Jacobian equivariance and determinant-character checks of `verify` run
     once here; together they imply that D^2 and every entry of R_l are
     relatively invariant, and the rewrite of Delta and Omega_l into z checks
@@ -126,6 +140,8 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     reads those images instead of substituting again.
     """
     n = len(jd.jac)
+    if len(jd.phis) != n or any(row != p.gradient() for row, p in zip(jd.jac, jd.phis)):
+        raise ValueError("the Jacobian rows are not the gradients of its invariants")
     tables = group.generator_tables()
     checks = tuple(
         check_equivariance(jd, group, tables).checks
@@ -146,7 +162,8 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
         discriminant = discriminant.exact_div(excess)
     numerators = []
     for ell in range(n):
-        # R_l = (sum_i adj_{i,ell} * dJ/dx_i) * adj, then Omega_l = R_l / E
+        # R_l = (sum_i adj_{i,ell} * dJ/dx_i) * adj, then Omega_l = R_l / E,
+        # formed on the columns c >= ell; column c < ell is Omega_c's column ell
         acc = [
             [
                 MPoly.sum_of_products([(1, jd.adj[i][ell], d_partials[i][r][c]) for i in range(n)])
@@ -154,10 +171,13 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
             ]
             for r in range(n)
         ]
-        p = mat_mul(acc, jd.adj)
+        half = mat_mul(acc, tuple(row[ell:] for row in jd.adj))
         if excess is not None:
-            p = tuple(tuple(e.exact_div(excess) for e in row) for row in p)
-        numerators.append(p)
+            half = tuple(tuple(e.exact_div(excess) for e in row) for row in half)
+        numerators.append(tuple(
+            tuple(numerators[c][r][ell] for c in range(ell)) + row
+            for r, row in enumerate(half)
+        ))
     return ScaledConnection(
         numerators=tuple(numerators), discriminant=discriminant, checks=checks,
         tables=tables,
@@ -173,28 +193,30 @@ def connection_in_x(sc: ScaledConnection) -> tuple[tuple[tuple[RatFun, ...], ...
 
 
 def connection_in_z(sc: ScaledConnection, phi: InvariantTuple) -> ConnectionSystem:
-    """Rewrite Delta and the numerators Omega_l into z and assemble the system."""
+    """Rewrite Delta and the numerators Omega_l into z and assemble the system.
+
+    Each distinct entry object is rewritten and reduced once, so a mirrored
+    entry of Omega_l stays one object in z.  The display form of an entry
+    is its numerator over q made monic, with q's leading coefficient
+    inverted once.
+    """
     rewriter = Rewriter(phi)
     q = rewriter.rewrite(sc.discriminant)
-    numerators = []
-    matrices = []
-    for p in sc.numerators:
-        num_rows = []
-        mat_rows = []
-        for row in p:
-            nrow = []
-            mrow = []
-            for entry in row:
-                ez = rewriter.rewrite(entry)
-                nrow.append(ez)
-                mrow.append(RatFun(ez, q).reduced())
-            num_rows.append(tuple(nrow))
-            mat_rows.append(tuple(mrow))
-        numerators.append(tuple(num_rows))
-        matrices.append(tuple(mat_rows))
+    q_inv = q.leading_coefficient().inverse()
+    q_monic = q * q_inv
+    in_z = {}  # id of an x-entry -> (its z-numerator, its display form)
+
+    def entry_in_z(entry):
+        done = in_z.get(id(entry))
+        if done is None:
+            ez = rewriter.rewrite(entry)
+            done = in_z[id(entry)] = ez, RatFun(ez * q_inv, q_monic).reduced()
+        return done
+
+    pairs = [[[entry_in_z(e) for e in row] for row in p] for p in sc.numerators]
     return ConnectionSystem(
-        matrices=tuple(matrices),
-        numerators=tuple(numerators),
+        matrices=tuple(tuple(tuple(m for _, m in row) for row in p) for p in pairs),
+        numerators=tuple(tuple(tuple(ez for ez, _ in row) for row in p) for p in pairs),
         denominator=q,
         invariants_used=phi,
     )

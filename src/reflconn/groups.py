@@ -271,6 +271,17 @@ def describe(value) -> str:
     return f"{text} ({type(value).__name__})"
 
 
+MAX_NAME = 100
+
+
+def require_name(value, what: str) -> None:
+    """InvalidSpec unless value is a string of at most MAX_NAME characters."""
+    if not isinstance(value, str) or len(value) > MAX_NAME:
+        raise InvalidSpec(
+            f"{what} must be a string of at most {MAX_NAME} characters, got {describe(value)}"
+        )
+
+
 def is_matrix(value, rank: int, is_entry) -> bool:
     """Whether value is a rank x rank list of lists of entries passing is_entry."""
     return isinstance(value, list) and len(value) == rank and all(
@@ -283,9 +294,11 @@ def group_from_spec(spec: dict) -> GroupData:
     """Build and validate a group from the JSON group-specification format.
 
     Required keys: conductor, rank, generators (list of matrices, each a
-    list of rows of scalar strings); optional name and cap.  A missing
-    required key raises InvalidSpec.
+    list of rows of scalar strings); optional name (a string of at most
+    MAX_NAME characters) and cap.  A missing required key raises InvalidSpec.
     """
+    name = spec.get("name", "")
+    require_name(name, "name")
     conductor = spec.get("conductor")
     rank = spec.get("rank")
     generators = spec.get("generators")
@@ -306,7 +319,7 @@ def group_from_spec(spec: dict) -> GroupData:
     if not is_positive_int(cap):
         raise InvalidSpec(f"cap must be a positive integer, got {describe(cap)}")
     gens = [parse_matrix(g, conductor) for g in generators]
-    group = close_group(gens, cap=cap, name=spec.get("name", ""))
+    group = close_group(gens, cap=cap, name=name)
     return validate_reflection_group(group)
 
 

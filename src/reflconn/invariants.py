@@ -184,7 +184,7 @@ def fundamental_invariants(group: GroupData) -> InvariantTuple:
                 "invariants outside the products of lower ones"
             )
         phis.extend(kept)
-    if not mat_det([[phi.partial(j + 1) for j in range(n)] for phi in phis]):
+    if not mat_det([phi.gradient() for phi in phis]):
         raise IndependenceSearchFailed("the invariants found have a zero Jacobian")
     return InvariantTuple(phis=tuple(phis), degrees=degrees, source="reynolds")
 

@@ -244,23 +244,33 @@ class MPoly:
         return result
 
     def exact_div(self, other: "MPoly") -> "MPoly":
-        """Quotient f/g when g divides f exactly; raises NotDivisible otherwise."""
+        """Quotient f/g when g divides f exactly; raises NotDivisible otherwise.
+
+        Each step cancels the remainder's leading term against g's, in
+        place on one copy of f's terms, as top_reduce does.
+        """
         self._check_compat(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        quot_terms: dict = {}
-        rem = self
         g_exps, g_coeff = other.leading_term()
         g_inv = g_coeff.inverse()
-        while rem.terms:
-            r_exps, r_coeff = rem.leading_term()
+        g_rest = [(exps, c) for exps, c in other.terms.items() if exps != g_exps]
+        quot_terms: dict = {}
+        terms = dict(self.terms)
+        while terms:
+            r_exps = max(terms, key=grlex_key)
             diff = tuple(a - b for a, b in zip(r_exps, g_exps))
             if any(d < 0 for d in diff):
                 raise NotDivisible(f"remainder has leading monomial {r_exps}")
-            c = r_coeff * g_inv
-            quot_terms[diff] = c
-            t = self._like({diff: c})
-            rem = rem - t * other
+            c = quot_terms[diff] = terms.pop(r_exps) * g_inv
+            for exps, gc in g_rest:
+                exps = tuple(map(add, exps, diff))
+                cur = terms.get(exps)
+                s = -(gc * c) if cur is None else cur - gc * c
+                if s:
+                    terms[exps] = s
+                else:
+                    del terms[exps]
         return self._like(quot_terms)
 
     def divides(self, other: "MPoly") -> bool:
@@ -286,6 +296,10 @@ class MPoly:
             new[i] = e - 1
             terms[tuple(new)] = coeff * e
         return self._like(terms)
+
+    def gradient(self) -> tuple["MPoly", ...]:
+        """The partial derivatives along each variable, in order."""
+        return tuple(self.partial(j + 1) for j in range(self.nvars))
 
     def compose(self, args) -> "MPoly":
         """Substitute args[i] for the i-th variable.

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .connection import ConnectionSystem
 from .cyclo import MAX_RANK, CycloNum, signed_sum, zeta_power
 from .errors import DenominatorMismatch, InvalidSpec, NotDivisible
-from .groups import describe, is_matrix, is_positive_int
+from .groups import describe, is_matrix, is_positive_int, require_name
 from .invariants import InvariantTuple
 from .parsing import parse_expr
 from .poly import MPoly, RatFun
@@ -175,6 +175,7 @@ def _check_header(data) -> None:
     """Raise InvalidSpec unless data has the types of the JSON schema."""
     if not isinstance(data, dict):
         raise InvalidSpec("a stored system must be a JSON object")
+    require_name(data.get("group"), "group")
     # m, the scaling exponent that older artifacts carry, is optional
     for key in ("conductor", "rank", "m"):
         if (key != "m" or key in data) and not is_positive_int(data.get(key)):

@@ -118,8 +118,7 @@ def _certified(jd: JacobianData, r: int, table) -> bool:
     without being substituted: it does when the row is grad phi_r exactly
     and M fixes phi_r, by the chain rule."""
     p = jd.phis[r]
-    gradient = tuple(p.partial(j + 1) for j in range(p.nvars))
-    return jd.jac[r] == gradient and table.image(p) == p
+    return jd.jac[r] == p.gradient() and table.image(p) == p
 
 
 def check_equivariance(jd: JacobianData, group: GroupData, tables=None) -> VerificationReport:
@@ -196,7 +195,7 @@ def check_integrability(cs: ConnectionSystem) -> VerificationReport:
             for entry in row:
                 if entry.alphabet != q.alphabet or entry.conductor != q.conductor:
                     raise DenominatorMismatch("numerators do not share q's space")
-    dq = [q.partial(k + 1) for k in range(n)]
+    dq = q.gradient()
     for i in range(n):
         for j in range(i + 1, n):
             def witness():
@@ -243,6 +242,25 @@ def check_rank_one(cs: ConnectionSystem) -> VerificationReport:
     return report
 
 
+def check_torsion_free(cs: ConnectionSystem) -> VerificationReport:
+    """Omega_l[r][c] == Omega_c[r][l], the torsion symmetry of a connection
+    built from a Jacobian (connection module docstring), for each pair
+    l < c of matrices, compared on the numerators over the common
+    denominator.  The witness is the first entry (l, r, c) that differs.
+    """
+    report = VerificationReport()
+    num = cs.numerators
+    n = cs.rank
+    for ell in range(n):
+        for c in range(ell + 1, n):
+            def witness():
+                r = next((r for r in range(n) if num[ell][r][c] != num[c][r][ell]), None)
+                return "" if r is None else f"entry ({ell + 1},{r + 1},{c + 1})"
+
+            report.check(f"torsion_free[{ell + 1},{c + 1}]", witness)
+    return report
+
+
 def cross_validate(
     cs: ConnectionSystem, sc: ScaledConnection, phi: InvariantTuple
 ) -> VerificationReport:
@@ -256,21 +274,29 @@ def cross_validate(
     Omega_l / Delta.
     Every substitution is Rewriter.compose on a Rewriter made here, so the
     products phi^e are built once per call and none is taken from the
-    rewrite that produced cs.
+    rewrite that produced cs.  Each distinct numerator object is composed
+    once per call, so a mirrored entry is composed once and compared twice.
     """
     report = VerificationReport()
     rewriter = Rewriter(phi)
     q = cs.denominator
     den_ok = cache(lambda: rewriter.compose(q) == sc.discriminant)
+    composed_of = {}  # id of a z-numerator -> its composition with phi
+
+    def composed(e):
+        x = composed_of.get(id(e))
+        if x is None:
+            x = composed_of[id(e)] = rewriter.compose(e)
+        return x
+
     for ell in range(cs.rank):
         def witness():
             num = cs.numerators[ell]
             where = "denominator"
             if den_ok():
                 display = ((RatFun(e, q) for e in row) for row in num)
-                composed = ((rewriter.compose(e) for e in row) for row in num)
                 where = _first_mismatch(cs.matrices[ell], display) or _first_mismatch(
-                    composed, sc.numerators[ell]
+                    (map(composed, row) for row in num), sc.numerators[ell]
                 )
             return where and f"A_{ell + 1} {where}"
 

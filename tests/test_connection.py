@@ -1,20 +1,25 @@
 """Jacobian data, coordinate derivations, and the connection matrices."""
 
 import dataclasses
+import functools
+import pathlib
+from math import prod
 
 import pytest
 
 from reflconn.connection import (
     build_system,
     connection_in_x,
+    connection_in_z,
     delta_apply,
     jacobian,
     scaled_connection,
 )
 from reflconn.errors import NonHomogeneousInput, NonInvariantEntry, SingularJacobian
-from reflconn.groups import hyperplanes
-from reflconn.invariants import InvariantTuple
+from reflconn.groups import group_from_spec, hyperplanes, load_group_spec
+from reflconn.invariants import InvariantTuple, fundamental_invariants
 from reflconn.poly import MPoly, RatFun
+from reflconn.rewrite import Rewriter
 
 from conftest import catalog, derived_pipeline, pipeline, px, pz, sign_group
 
@@ -248,3 +253,102 @@ class TestGroupGate:
     def test_group_checks_kept_only_when_a_group_is_given(self):
         group, _, jd, sc, _ = pipeline("G4")
         assert sc.checks and all(c.passed for c in sc.checks)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+DATA_SPECS = ("a2_root_basis", "cyclic70", "g2_1_2_zeta5", "g2_1_2_zeta5_sheared", "g70_70_2")
+HALF_BUILT = CATALOG + ("G(2,1,3)", "G(3,3,3)") + DATA_SPECS
+
+
+@functools.lru_cache(maxsize=None)
+def half_built(name):
+    """(group, phi, jd, sc) of a catalog group, a rank-3 group or a
+    tests/data spec, the last on its Reynolds invariants."""
+    if name in DATA_SPECS:
+        group = group_from_spec(load_group_spec(DATA / f"{name}.json"))
+        phi = fundamental_invariants(group)
+        jd = jacobian(phi)
+        return group, phi, jd, scaled_connection(jd, group=group)
+    return any_pipeline(name)[:4]
+
+
+def _reference_numerators(jd, group):
+    """Omega_l built in full: all n^2 entries of acc_l * adj, each divided
+    by E = prod_H alpha_H^(e_H - 2), with no use of the torsion symmetry."""
+    n = len(jd.jac)
+    excess = prod(
+        (alpha ** (e - 2) for alpha, e in hyperplanes(group)),
+        start=MPoly.constant(1, "x", n, group.conductor),
+    )
+    mats = []
+    for ell in range(n):
+        acc = [
+            [
+                MPoly.sum_of_products(
+                    [(1, jd.adj[i][ell], jd.jac[r][t].partial(i + 1)) for i in range(n)]
+                )
+                for t in range(n)
+            ]
+            for r in range(n)
+        ]
+        mats.append(tuple(
+            tuple(
+                MPoly.sum_of_products([(1, acc[r][t], jd.adj[t][c]) for t in range(n)])
+                .exact_div(excess)
+                for c in range(n)
+            )
+            for r in range(n)
+        ))
+    return tuple(mats)
+
+
+class TestHalfBuild:
+    """scaled_connection forms the columns c >= l of each Omega_l and takes
+    the others from the torsion symmetry Omega_l[r][c] = Omega_c[r][l]."""
+
+    @pytest.mark.parametrize("name", HALF_BUILT)
+    def test_equals_the_full_build(self, name):
+        group, _, jd, sc = half_built(name)
+        reference = _reference_numerators(jd, group)
+        n = len(jd.jac)
+        for ell in range(n):
+            for r in range(n):
+                for c in range(n):
+                    assert sc.numerators[ell][r][c] == reference[ell][r][c], (ell, r, c)
+
+    @pytest.mark.parametrize("name", HALF_BUILT)
+    def test_mirrored_entries_are_one_object(self, name):
+        _, phi, _, sc = half_built(name)
+        cs = connection_in_z(sc, phi)
+        n = len(sc.numerators)
+        for mats in (sc.numerators, cs.numerators, cs.matrices):
+            for ell in range(n):
+                for r in range(n):
+                    for c in range(ell):
+                        assert mats[ell][r][c] is mats[c][r][ell]
+
+    @pytest.mark.parametrize("name", ("G(2,1,2)", "G4", "G(2,1,3)", "G(3,3,3)", "cyclic70"))
+    def test_each_distinct_entry_rewritten_once(self, name, monkeypatch):
+        _, phi, _, sc = half_built(name)
+        calls = []
+        rewrite = Rewriter.rewrite
+
+        def counted(self, f):
+            calls.append(f)
+            return rewrite(self, f)
+
+        monkeypatch.setattr(Rewriter, "rewrite", counted)
+        connection_in_z(sc, phi)
+        n = len(sc.numerators)
+        assert len(calls) == n * n * (n + 1) // 2 + 1
+        assert calls[0] is sc.discriminant
+
+    @pytest.mark.parametrize("name,forge", [
+        ("G4", lambda jac: (tuple(e * 2 for e in jac[0]), jac[1])),
+        ("G4", lambda jac: (jac[0], tuple(e * 2 for e in jac[1]))),
+        ("G(2,1,3)", lambda jac: (jac[1], jac[0], jac[2])),
+    ], ids=["row 1 doubled", "row 2 doubled", "rows 1 and 2 swapped"])
+    def test_non_gradient_rows_refused(self, name, forge):
+        group, _, jd, _ = half_built(name)
+        with pytest.raises(ValueError, match="not the gradients"):
+            scaled_connection(dataclasses.replace(jd, jac=forge(jd.jac)), group=group)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflconn.cyclo import CycloNum, euler_phi
@@ -288,6 +288,45 @@ class TestDivision:
     def test_divides_predicate(self):
         assert px("x1 + x2").divides(px("x1^2 - x2^2"))
         assert not px("x1 + x2").divides(px("x1^2 + x2^2"))
+
+
+@st.composite
+def division_cases(draw):
+    """(f, g, m) over Q or Q(zeta_12): f, often not homogeneous, and g != 0
+    in x1, x2, and a monomial m that g does not divide."""
+    n = draw(st.sampled_from((1, 12)))
+    d = euler_phi(n)
+    coeff = st.builds(
+        lambda nums, dens: CycloNum(n, [Fraction(x, q) for x, q in zip(nums, dens)]),
+        st.lists(st.integers(-5, 5), min_size=d, max_size=d),
+        st.lists(st.sampled_from((1, 2, 3, 7)), min_size=d, max_size=d),
+    )
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    polys = st.dictionaries(exps, coeff, max_size=6).map(lambda t: MPoly("x", 2, n, t))
+    f, g = draw(polys), draw(polys)
+    assume(g)
+    m_exps = draw(exps)
+    # g of two or more terms divides no monomial; a monomial g divides those
+    # with every exponent at least its own
+    if len(g.terms) == 1:
+        [g_exps] = g.terms
+        assume(any(a > b for a, b in zip(g_exps, m_exps)))
+    return f, g, MPoly("x", 2, n, {m_exps: CycloNum.one(n)})
+
+
+class TestExactDivRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(division_cases())
+    def test_product_divided_by_a_factor(self, case):
+        f, g, _ = case
+        assert (f * g).exact_div(g) == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(division_cases())
+    def test_product_plus_an_indivisible_monomial(self, case):
+        f, g, m = case
+        with pytest.raises(NotDivisible):
+            (f * g + m).exact_div(g)
 
 
 class TestCalculus:

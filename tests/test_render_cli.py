@@ -16,6 +16,7 @@ import reflconn
 from reflconn.cli import main
 from reflconn.cyclo import CycloNum
 from reflconn.errors import DenominatorMismatch
+from reflconn.groups import MAX_NAME
 from reflconn.render import (
     readable_poly,
     render_json,
@@ -187,6 +188,22 @@ class TestCli:
             for r in range(2):
                 for c in range(2):
                     assert old.matrices[ell][r][c] == new.matrices[ell][r][c]
+
+    def test_verify_checks_the_torsion_symmetry(self, tmp_path, capsys):
+        out_file = tmp_path / "g4.json"
+        assert main([
+            "compute", "--group", "G4", "--format", "json", "--out", str(out_file),
+        ]) == 0
+        assert main(["verify", str(out_file)]) == 0
+        assert "[PASS] torsion_free[1,2]" in capsys.readouterr().out
+        # Omega_2[1][1] is the mirror of Omega_1[1][2]
+        data = json.loads(out_file.read_text())
+        entry = data["matrices"][1][0][0]
+        entry["num"] = f"2*({entry['num']})"
+        out_file.write_text(json.dumps(data))
+        assert main(["verify", str(out_file)]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] torsion_free[1,2]" in out and "witness: entry (1,1,2)" in out
 
     @pytest.mark.parametrize("spec", ["g70_70_2.json", "cyclic70.json"])
     def test_degree_above_64_from_spec_file(self, tmp_path, spec):
@@ -398,6 +415,13 @@ UNREADABLE_JSON = {
 }
 
 
+# the stored system of the sign group, A_1 = 1/(2*z1); it verifies
+SIGN_SYSTEM = dict(
+    group="sign", conductor=1, rank=1, invariants=["x1^2"], denominator="z1",
+    matrices=[[[{"num": "1/2", "den": "z1"}]]],
+)
+
+
 BAD_INPUTS = {
     "zero_denominator": (["rewrite", "1/0", "--group", "G4"], None),
     "conductor_zero": (
@@ -480,6 +504,12 @@ BAD_INPUTS = {
     "integer_too_long": (
         ["compute"], '{"conductor": ' + "1" * 5000 + ', "rank": 1, "generators": [[["-1"]]]}'
     ),
+    # a name must be a string of bounded length, in a spec file and in a
+    # stored system, which verify reads in place of a spec file
+    "name_not_a_string": (
+        ["compute"], dict(name=list(range(100_000)), conductor=1, rank=1, generators=[[["-1"]]])
+    ),
+    "stored_group_not_a_string": (["verify"], dict(SIGN_SYSTEM, group=list(range(100_000)))),
 }
 
 
@@ -488,7 +518,8 @@ class TestInputBoundary:
     def test_bad_input_exits_2_without_traceback(self, case, tmp_path):
         argv, spec = BAD_INPUTS[case]
         if spec is not None:
-            argv = argv + ["--spec-file", _spec_file(tmp_path, spec)]
+            path = _spec_file(tmp_path, spec)
+            argv = argv + ([path] if argv == ["verify"] else ["--spec-file", path])
         proc = _run_cli(*argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -551,6 +582,21 @@ class TestInputBoundary:
             assert "conductor must be a positive integer, got [0, 1, 2" in proc.stderr
             assert "(list)" in proc.stderr
             assert len(proc.stderr.encode()) < 300
+
+    @pytest.mark.parametrize("length", [MAX_NAME, MAX_NAME + 1])
+    def test_names_of_bounded_length(self, length, tmp_path, capsys):
+        code = 0 if length <= MAX_NAME else 2
+        spec = _spec_file(
+            tmp_path, dict(name="n" * length, conductor=1, rank=1, generators=[[["-1"]]])
+        )
+        assert main(["compute", "--spec-file", spec]) == code
+        stored = tmp_path / "stored.json"
+        stored.write_text(json.dumps(dict(SIGN_SYSTEM, group="g" * length)))
+        assert main(["verify", str(stored)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"name must be a string of at most {MAX_NAME} characters, got 'nnn" in err
+            assert f"group must be a string of at most {MAX_NAME} characters, got 'ggg" in err
 
     def test_generator_of_infinite_order_exits_2_at_once(self, tmp_path):
         # diag(2, 1) would be closed until the default cap of 2^20 elements

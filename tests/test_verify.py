@@ -11,6 +11,7 @@ from reflconn.errors import DenominatorMismatch
 from reflconn.invariants import InvariantTuple, catalog_names, fundamental_invariants
 from reflconn.linalg import det, mat_mul, mat_sub
 from reflconn.poly import MPoly
+from reflconn.rewrite import Rewriter
 from reflconn.verify import (
     VerificationReport,
     check_determinant_character,
@@ -18,6 +19,7 @@ from reflconn.verify import (
     check_integrability,
     check_invariance,
     check_rank_one,
+    check_torsion_free,
     cross_validate,
     full_report,
 )
@@ -144,11 +146,73 @@ class TestMutationDetection:
         assert cross_validate(cs, sc, inv).all_passed
         assert calls == []
 
+    @pytest.mark.parametrize("name", ["G4", "G(3,3,3)"])
+    def test_cross_validation_composes_each_distinct_numerator_once(self, name, monkeypatch):
+        # the mirrored entries Omega_l[r][c] and Omega_c[r][l] are one object
+        _, inv, _, sc, cs = _any_pipeline(name)
+        calls = []
+        original = Rewriter.compose
+
+        def counting(self, g):
+            calls.append(g)
+            return original(self, g)
+
+        monkeypatch.setattr(Rewriter, "compose", counting)
+        assert cross_validate(cs, sc, inv).all_passed
+        n = cs.rank
+        assert len(calls) == n * n * (n + 1) // 2 + 1
+        assert calls[0] is cs.denominator
+
     def test_denominator_space_mismatch(self):
         _, _, _, sc, cs = pipeline("G(2,1,2)")
         bad = dataclasses.replace(cs, numerators=sc.numerators)  # x-space!
         with pytest.raises(DenominatorMismatch):
             check_integrability(bad)
+
+
+def _double(matrices, ell, r, c):
+    """Copy of a tuple-of-matrices with one entry doubled."""
+    return tuple(
+        tuple(
+            tuple(e * 2 if (i, rr, cc) == (ell, r, c) else e for cc, e in enumerate(row))
+            for rr, row in enumerate(mat)
+        )
+        for i, mat in enumerate(matrices)
+    )
+
+
+def _any_pipeline(name):
+    """(group, phi, jd, sc, cs) of a catalog group, or of a rank-3 group on
+    its Reynolds invariants."""
+    return derived_pipeline(name) if name in ("G(2,1,3)", "G(3,3,3)") else pipeline(name)
+
+
+class TestTorsionSymmetry:
+    @pytest.mark.parametrize("name", ["G(2,1,2)", "G4", "G5", "G6", "G7", "G(2,1,3)", "G(3,3,3)"])
+    def test_honest_systems_pass_one_check_per_pair(self, name):
+        cs = _any_pipeline(name)[4]
+        report = check_torsion_free(cs)
+        n = cs.rank
+        assert [c.name for c in report.checks] == [
+            f"torsion_free[{ell + 1},{c + 1}]" for ell in range(n) for c in range(ell + 1, n)
+        ]
+        assert report.all_passed
+
+    def test_rank_one_has_no_pair(self):
+        assert check_torsion_free(build_system(*sign_group())).checks == []
+
+    @pytest.mark.parametrize("name,where,pair,witness", [
+        ("G4", (1, 0, 0), "torsion_free[1,2]", "entry (1,1,2)"),
+        ("G4", (0, 1, 1), "torsion_free[1,2]", "entry (1,2,2)"),
+        ("G(3,3,3)", (2, 1, 0), "torsion_free[1,3]", "entry (1,2,3)"),
+        ("G(3,3,3)", (1, 2, 2), "torsion_free[2,3]", "entry (2,3,3)"),
+    ])
+    def test_doubled_entry_is_the_witness(self, name, where, pair, witness):
+        cs = _any_pipeline(name)[4]
+        assert cs.numerators[where[0]][where[1]][where[2]]
+        bad = dataclasses.replace(cs, numerators=_double(cs.numerators, *where))
+        [failure] = check_torsion_free(bad).failures()
+        assert (failure.name, failure.witness) == (pair, witness)
 
 
 def _reference_integrability(cs):
