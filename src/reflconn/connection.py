@@ -39,6 +39,7 @@ connection_in_z rewrites each distinct entry once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .errors import NonInvariantEntry, SingularJacobian
@@ -56,6 +57,13 @@ class JacobianData:
     adj: tuple[tuple[MPoly, ...], ...]
     det: MPoly
     phis: tuple[MPoly, ...]  # the invariants differentiated, for the group checks
+
+    @cached_property
+    def gradient_rows(self) -> tuple[bool, ...]:
+        """Whether each row r of jac is grad phis[r] exactly, for the
+        gradient check of scaled_connection and the group checks of
+        verify; the gradients are taken once per object."""
+        return tuple(row == self.phis[r].gradient() for r, row in enumerate(self.jac))
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,7 @@ def scaled_connection(jd: JacobianData, group: GroupData) -> ScaledConnection:
     reads those images instead of substituting again.
     """
     n = len(jd.jac)
-    if len(jd.phis) != n or any(row != p.gradient() for row, p in zip(jd.jac, jd.phis)):
+    if len(jd.phis) != n or not all(jd.gradient_rows):
         raise ValueError("the Jacobian rows are not the gradients of its invariants")
     tables = group.generator_tables()
     checks = tuple(

@@ -14,7 +14,9 @@ evaluates a sum of weighted products of polynomials, given as term dicts,
 with one accumulator per output monomial, so a polynomial product, a matrix
 entry or a whole identity reduces and normalises each coefficient once;
 CycloNum.sum_of_products is its scalar case, with one accumulator for a
-scalar matrix entry or determinant.
+scalar matrix entry or determinant.  linear_power expands a power of a
+linear form by the multinomial theorem, one product of reduced vectors and
+one canonical form per output term.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 
 from .errors import ConductorMismatch, InvalidSpec
@@ -223,6 +225,52 @@ def sum_of_products(n: int, triples) -> dict:
         nums = _fold(n, acc, d)
         if any(nums):
             out[exps] = _canonical(n, nums, den)
+    return out
+
+
+def linear_power(n: int, terms: dict, e: int) -> dict:
+    """The term dict of the e-th power of a linear form, by the multinomial
+    theorem: (sum_j b_j x_j)^e = sum over |a| = e of e!/a! prod_j b_j^a_j x^a.
+
+    terms maps the unit exponent tuples of the form's variables to their
+    nonzero coefficients b_j.  Over the lcm den of their denominators,
+    b_j = u_j / den, and each power u_j^a is one reduced integer vector, e
+    products per variable.  The output terms are walked variable by
+    variable, each choice of a_j multiplying the prefix by u_j^a_j once, so
+    that a term costs about one product of vectors and one canonical form,
+    over den^e.  Distinct a are distinct monomials, so nothing is summed,
+    and a product of nonzero field elements is never zero.
+    """
+    ls, den = _over_lcm(terms)
+    where = [exps.index(1) for exps, _ in ls]
+    one = [1] + [0] * (len(ls[0][1]) - 1)
+    powers = []
+    for _, u in ls:
+        row = [one, u]
+        for _ in range(e - 1):
+            row.append(_mul_nums(n, row[-1], u))
+        powers.append(row)
+    den_e = den ** e
+    exps = [0] * len(ls[0][0])
+    last = len(ls) - 1
+    out = {}
+
+    def walk(j, rem, prefix, m):
+        # prefix: the product of the u_i^a_i chosen for i < j, None for 1
+        if j == last:
+            exps[where[j]] = rem
+            nums = powers[j][rem] if prefix is None else _mul_nums(n, prefix, powers[j][rem])
+            out[tuple(exps)] = _canonical(n, [m * c for c in nums], den_e)
+            return
+        for a in range(rem + 1):
+            exps[where[j]] = a
+            if a:
+                step = powers[j][a] if prefix is None else _mul_nums(n, prefix, powers[j][a])
+            else:
+                step = prefix
+            walk(j + 1, rem - a, step, m * comb(rem, a))
+
+    walk(0, e, None, 1)
     return out
 
 
@@ -456,15 +504,17 @@ class CycloNum:
     def __pow__(self, exponent: int) -> CycloNum:
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycloNum.one(self.conductor)
+        # square and multiply, with no product by 1 and no square unused
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return CycloNum.one(self.conductor) if result is None else result
 
     def multiplicative_order(self, cap: int = 10000) -> int:
         """Order of a root of unity; raises if it is not one of order at most cap.

@@ -60,6 +60,11 @@ def reynolds(f: MPoly, group: GroupData) -> MPoly:
     that H fixes are therefore substituted through the kept actions of the
     representatives t alone, and averaged over their number, |G|/|H|; when
     H fixes no term the average is zero and nothing is substituted.
+
+    The cost is that of the substitutions: for each representative, one
+    fresh table over its linear images, in which each power l_j^e that a
+    fixed term needs is expanded once by the multinomial theorem, with no
+    lower power built, and one sum of products of those powers per term.
     """
     diagonals, representatives = group.diagonal_cosets
     one = CycloNum.one(f.conductor)

@@ -4,6 +4,12 @@ Monomials are ordered graded-lexicographically with var1 > ... > varn.
 No multivariate gcd exists anywhere in this package: rational functions
 compare by cross-multiplication and all simplification goes through exact
 division.
+
+A power of a linear form is expanded by the multinomial theorem
+(cyclo.linear_power), at about one scalar product per output term, with no
+lower power built.  The group action substitutes through a PowerTable over
+the linear images l_j of the variables, so the image of x^a takes each
+l_j^(a_j) alone; a power of any other polynomial is built by products.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from operator import add
 
-from .cyclo import CycloNum, cyclotomic_coeffs, signed_sum, sum_of_products
+from .cyclo import CycloNum, cyclotomic_coeffs, linear_power, signed_sum, sum_of_products
 from .errors import ConductorMismatch, NotDivisible, NonHomogeneousInput
 from .linalg import mat_inverse
 
@@ -33,6 +39,11 @@ def weighted_exponents(target: int, weights) -> list[tuple[int, ...]]:
         for e in range(target // w + 1)
         for tail in weighted_exponents(target - e * w, weights[1:])
     ]
+
+
+def _is_linear(p: "MPoly") -> bool:
+    """Whether every term of p has degree 1; true for the zero polynomial."""
+    return all(sum(e) == 1 for e in p.terms)
 
 
 class MPoly:
@@ -227,12 +238,17 @@ class MPoly:
         return model._like(sum_of_products(model.conductor, term_dicts()))
 
     def __pow__(self, exponent: int):
+        """self ** exponent: a monomial by its exponents and coefficient, a
+        linear form of two or more terms by the multinomial theorem
+        (cyclo.linear_power), any other polynomial by repeated squaring."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         if len(self.terms) == 1:
             # a monomial: exponents times k, coefficient to the k
             [(exps, coeff)] = self.terms.items()
             return self._like({tuple(e * exponent for e in exps): coeff ** exponent})
+        if self.terms and _is_linear(self):
+            return self._like(linear_power(self.conductor, self.terms, exponent))
         result = MPoly.constant(1, self.alphabet, self.nvars, self.conductor)
         base = self
         e = exponent
@@ -385,9 +401,12 @@ class MPoly:
 
 
 class PowerTable:
-    """The powers of substitution polynomials args[0..n-1], each built by
-    one product from the one below it when first needed, and kept for the
-    table's life, so that every composition through it shares them.
+    """The powers of substitution polynomials args[0..n-1], each built when
+    first needed and kept for the table's life, so that every composition
+    through it shares them.  A power of a linear form, such as each of a
+    group element's linear images, is taken alone by MPoly.__pow__, with no
+    lower power built; a power of any other arg by one product from the one
+    below it.
 
     A table lives as long as its holder keeps it: one composition, or the
     group checks of one system (ScaledConnection.tables), which also share
@@ -403,15 +422,22 @@ class PowerTable:
             raise ValueError("need one substitution polynomial per variable")
         model = self.args[0]
         self.one = MPoly.constant(1, model.alphabet, model.nvars, model.conductor)
-        self._powers = [[self.one] for _ in self.args]
+        self._powers = [{0: self.one, 1: arg} for arg in self.args]
         self._images: dict[MPoly, MPoly] = {}
 
     def power(self, i: int, e: int) -> MPoly:
         """args[i] ** e."""
         powers = self._powers[i]
-        while len(powers) <= e:
-            powers.append(powers[-1] * self.args[i])
-        return powers[e]
+        p = powers.get(e)
+        if p is None:
+            arg = self.args[i]
+            if _is_linear(arg):
+                p = powers[e] = arg ** e
+            else:
+                # the chain holds every exponent below its length
+                while len(powers) <= e:
+                    p = powers[len(powers)] = powers[len(powers) - 1] * arg
+        return p
 
     def image(self, f: MPoly) -> MPoly:
         """f.substitute_linear(self), made on f's first call and then

@@ -29,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from operator import ne
 from typing import TYPE_CHECKING
 
 from .cyclo import CycloNum
@@ -97,14 +98,15 @@ class VerificationReport:
         }
 
 
-def _first_mismatch(lhs, rhs) -> str:
-    """'entry (r,c)' for the first entry where two matrices differ, else ''.
+def _first_mismatch(lhs, rhs, differ=ne) -> str:
+    """'entry (r,c)' for the first pair of entries a, b of two matrices for
+    which differ(a, b) is true, by default a != b; else ''.
 
     Rows and entries may be generators, so nothing past a mismatch is built.
     """
     for r, (row_l, row_r) in enumerate(zip(lhs, rhs)):
         for c, (a, b) in enumerate(zip(row_l, row_r)):
-            if a != b:
+            if differ(a, b):
                 return f"entry ({r + 1},{c + 1})"
     return ""
 
@@ -116,9 +118,10 @@ check_invariance = is_invariant
 def _certified(jd: JacobianData, r: int, table) -> bool:
     """Whether row r of J maps to row * M under the table's generator M
     without being substituted: it does when the row is grad phi_r exactly
-    and M fixes phi_r, by the chain rule."""
+    (jd.gradient_rows, taken once per JacobianData) and M fixes phi_r, by
+    the chain rule."""
     p = jd.phis[r]
-    return jd.jac[r] == p.gradient() and table.image(p) == p
+    return jd.gradient_rows[r] and table.image(p) == p
 
 
 def check_equivariance(jd: JacobianData, group: GroupData, tables=None) -> VerificationReport:
@@ -268,10 +271,11 @@ def cross_validate(
 
     q(phi) == Delta is checked once, within the time of A_1, then for each
     entry the numerator composed with phi against Omega_l as polynomials,
-    and the reduced display entry against numerator / q in z.  Composition
-    with algebraically independent phi is injective, so this ties the
-    numerators that check_integrability certifies, and the display form, to
-    Omega_l / Delta.
+    and the reduced display entry m against numerator e over q in z, by
+    cross-multiplication, m.num * q - e * m.den == 0, with no inverse taken.
+    Composition with algebraically independent phi is injective, so this
+    ties the numerators that check_integrability certifies, and the display
+    form, to Omega_l / Delta.
     Every substitution is Rewriter.compose on a Rewriter made here, so the
     products phi^e are built once per call and none is taken from the
     rewrite that produced cs.  Each distinct numerator object is composed
@@ -289,13 +293,16 @@ def cross_validate(
             x = composed_of[id(e)] = rewriter.compose(e)
         return x
 
+    def off_quotient(m, e):
+        # nonzero exactly when the display entry m is not e / q
+        return MPoly.sum_of_products([(1, m.num, q), (-1, e, m.den)])
+
     for ell in range(cs.rank):
         def witness():
             num = cs.numerators[ell]
             where = "denominator"
             if den_ok():
-                display = ((RatFun(e, q) for e in row) for row in num)
-                where = _first_mismatch(cs.matrices[ell], display) or _first_mismatch(
+                where = _first_mismatch(cs.matrices[ell], num, off_quotient) or _first_mismatch(
                     (map(composed, row) for row in num), sc.numerators[ell]
                 )
             return where and f"A_{ell + 1} {where}"

@@ -256,7 +256,10 @@ class TestGroupGate:
 
 
 DATA = pathlib.Path(__file__).parent / "data"
-DATA_SPECS = ("a2_root_basis", "cyclic70", "g2_1_2_zeta5", "g2_1_2_zeta5_sheared", "g70_70_2")
+DATA_SPECS = (
+    "a2_root_basis", "b3_root_basis", "cyclic70", "g2_1_2_zeta5", "g2_1_2_zeta5_sheared",
+    "g70_70_2",
+)
 HALF_BUILT = CATALOG + ("G(2,1,3)", "G(3,3,3)") + DATA_SPECS
 
 

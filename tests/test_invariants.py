@@ -42,7 +42,7 @@ from conftest import (
 DATA = Path(__file__).parent / "data"
 SPEC_FILES = (
     "g70_70_2.json", "cyclic70.json", "g2_1_2_zeta5.json", "g2_1_2_zeta5_sheared.json",
-    "a2_root_basis.json",
+    "a2_root_basis.json", "b3_root_basis.json",
 )
 SUITE_GROUPS = (*catalog_names(), *RANK3_GENERATORS, *EXTRA_GENERATORS, "sign", *SPEC_FILES)
 
@@ -160,6 +160,15 @@ class TestReynoldsOverCosets:
         assert group.order == 6
         assert invariant_degrees(group) == (2, 3)
         assert group.diagonal_cosets == (((1, 1),), tuple(range(6)))
+
+    def test_b3_in_the_root_basis(self):
+        # the first rank-3 spec whose linear images have 2 or 3 nonzero
+        # coefficients: W(B3), order 48, 9 reflections, degrees 2, 4 and 6
+        group = suite_group("b3_root_basis.json")
+        assert (group.order, len(group.reflection_indices)) == (48, 9)
+        assert invariant_degrees(group) == (2, 4, 6)
+        images = {len(f.terms) for t in group.diagonal_cosets[1] for f in group.action(t).args}
+        assert images == {1, 2, 3}
 
     def test_a_zero_image_substitutes_nothing(self, monkeypatch):
         group, _ = catalog("G4")

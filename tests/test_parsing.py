@@ -3,7 +3,7 @@
 import time
 from fractions import Fraction
 from functools import reduce
-from math import isqrt
+from math import comb, factorial, isqrt
 from operator import mul
 
 import pytest
@@ -258,6 +258,26 @@ class TestTermBound:
         k = isqrt(MAX_TERMS) + 1
         text = " + ".join(f"{i + j + 1}*x1^{i}*x2^{j}" for i in range(k) for j in range(k))
         assert len(px(text).terms) == k * k > MAX_TERMS
+
+
+class TestLargestPowersOfLinearForms:
+    """The largest powers of linear forms within every bound, expanded by
+    the multinomial theorem, with their coefficients pinned exactly."""
+
+    def test_binary_form_to_the_degree_bound(self):
+        p = px(f"(x1+x2)^{MAX_DEGREE}")
+        assert len(p.terms) == MAX_DEGREE + 1
+        half = MAX_DEGREE // 2
+        assert p.coefficient((half, half)) == comb(MAX_DEGREE, half)
+        assert p.coefficient((1, MAX_DEGREE - 1)) == MAX_DEGREE
+
+    def test_ternary_form_to_the_term_bound(self):
+        p = px("(x1+x2+x3)^61", nvars=3)
+        assert comb(63, 2) <= MAX_TERMS < comb(64, 2)
+        assert len(p.terms) == comb(63, 2) == 1953
+        multinomial = factorial(61) // (factorial(20) * factorial(20) * factorial(21))
+        assert p.coefficient((20, 20, 21)) == multinomial
+        assert p.coefficient((61, 0, 0)) == 1
 
 
 class TestNestingAndDigitBounds:

@@ -20,6 +20,7 @@ from reflconn.linalg import mat_mul
 from reflconn.parsing import parse_expr
 from reflconn.poly import (
     MPoly,
+    PowerTable,
     RatFun,
     cyclotomic_polynomial,
     grlex_key,
@@ -120,6 +121,82 @@ class TestMonomialPower:
         monkeypatch.setattr(MPoly, "__mul__", counting)
         assert [p ** k for p, k in cases] == expected
         assert not calls
+
+
+def _repeated_product(p, e):
+    acc = MPoly.constant(1, p.alphabet, p.nvars, p.conductor)
+    for _ in range(e):
+        acc = acc * p
+    return acc
+
+
+@st.composite
+def linear_forms(draw):
+    """A linear form in x1..x4 with 2 to 4 nonzero coefficients, each a
+    rational times a power of zeta or a general element, over one of the
+    conductors 1, 3, 4, 5 and 12."""
+    n = draw(st.sampled_from((1, 3, 4, 5, 12)))
+    d = euler_phi(n)
+    rational = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+    zeta_multiple = st.builds(
+        lambda k, q: CycloNum.zeta(n, k) * q, st.integers(0, 2 * n), rational
+    )
+    general = st.lists(rational, min_size=d, max_size=d).map(lambda c: CycloNum(n, c))
+    coeff = st.one_of(zeta_multiple, general).filter(bool)
+    variables = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))
+    units = [tuple(int(j == i) for j in range(4)) for i in variables]
+    return MPoly("x", 4, n, {u: draw(coeff) for u in units})
+
+
+class TestLinearFormPower:
+    @settings(max_examples=150, deadline=None)
+    @given(linear_forms(), st.integers(0, 15))
+    def test_power_is_the_repeated_product(self, form, e):
+        assert form ** e == _repeated_product(form, e)
+
+    @settings(max_examples=50, deadline=None)
+    @given(linear_forms(), st.integers(0, 15), st.integers(0, 15))
+    def test_table_power_is_the_repeated_product(self, form, e, f):
+        # a linear arg and a nonlinear one, asked in either order
+        x = [MPoly.variable(i, "x", 4, form.conductor) for i in (1, 2, 3)]
+        binomial = x[0] * x[1] - x[2]
+        table = PowerTable([form, binomial])
+        for k in (e, f, e):
+            assert table.power(0, k) == _repeated_product(form, k)
+            assert table.power(1, k) == _repeated_product(binomial, k)
+
+    def test_table_takes_a_linear_power_with_no_product(self, monkeypatch):
+        form = px("x1 + zeta*x2")
+        table = PowerTable([form, px("x1 - 2*x2")])
+        expected = _repeated_product(form, 12)
+        calls = []
+        product = MPoly.__mul__
+
+        def counting(a, b):
+            calls.append(None)
+            return product(a, b)
+
+        monkeypatch.setattr(MPoly, "__mul__", counting)
+        assert table.power(0, 12) == expected
+        assert table.power(0, 12) is table.power(0, 12)
+        assert not calls
+
+    def test_zero_exponent_zero_and_monomials(self):
+        zero = MPoly.zero("x", 2, 12)
+        one = MPoly.constant(1, "x", 2, 12)
+        assert zero ** 0 == one and zero ** 3 == zero
+        assert px("x1 - zeta*x2") ** 0 == one
+        monomial = px("zeta^5*x2")
+        table = PowerTable([zero, monomial])
+        for e in range(5):
+            assert table.power(0, e) == (one if e == 0 else zero)
+            assert table.power(1, e) == monomial ** e == _repeated_product(monomial, e)
+
+    def test_affine_forms_take_the_product_path(self):
+        # a constant term is not linear: x1 + 1 is squared by products
+        form = px("x1 + 1")
+        assert form ** 7 == _repeated_product(form, 7)
+        assert PowerTable([form, form]).power(1, 7) == _repeated_product(form, 7)
 
 
 def _pairwise_product(a, b):

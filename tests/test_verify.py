@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflconn.connection import build_system, jacobian
+from reflconn.connection import build_system, jacobian, scaled_connection
+from reflconn.cyclo import CycloNum
 from reflconn.errors import DenominatorMismatch
 from reflconn.invariants import InvariantTuple, catalog_names, fundamental_invariants
 from reflconn.linalg import det, mat_mul, mat_sub
@@ -163,6 +164,22 @@ class TestMutationDetection:
         assert len(calls) == n * n * (n + 1) // 2 + 1
         assert calls[0] is cs.denominator
 
+    @pytest.mark.parametrize("name", ["G4", "G7"])
+    def test_cross_validation_inverts_nothing(self, name, monkeypatch):
+        # each display entry is compared with its numerator over q by
+        # cross-multiplication, with no monic denominator made
+        _, inv, _, sc, cs = pipeline(name)
+        calls = []
+        original = CycloNum.inverse
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CycloNum, "inverse", counting)
+        assert cross_validate(cs, sc, inv).all_passed
+        assert calls == []
+
     def test_denominator_space_mismatch(self):
         _, _, _, sc, cs = pipeline("G(2,1,2)")
         bad = dataclasses.replace(cs, numerators=sc.numerators)  # x-space!
@@ -267,6 +284,31 @@ class TestIntegrabilityWitnesses:
                     assert got == _reference_integrability(bad)
                     flagged += not all(passed for _, passed, _ in got)
         assert flagged
+
+
+class TestEachGradientOnce:
+    @pytest.mark.parametrize("name", ["G4", "G7"])
+    def test_partials_per_scaled_connection(self, name, monkeypatch):
+        # n^2 for the gradients of the invariants, taken once for the
+        # gradient check and every group check, and n^3 for dJ/dx_k
+        group, phi = catalog(name)
+        jd = jacobian(phi)
+        calls = []
+        original = MPoly.partial
+
+        def counting(self, index):
+            calls.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(MPoly, "partial", counting)
+        sc = scaled_connection(jd, group)
+        n = len(jd.jac)
+        assert sc.checks and all(c.passed for c in sc.checks)
+        assert len(calls) == n * n + n ** 3
+        calls.clear()
+        assert check_equivariance(jd, group).all_passed
+        assert check_determinant_character(jd, group).all_passed
+        assert calls == []
 
 
 def _reference_group_checks(jd, group):
