@@ -10,13 +10,17 @@ of zeta, and an inverse is an integer product of Galois conjugates over the
 integer field norm: no operation computes with Fractions.
 
 Every sum of products is one integer accumulation.  sum_of_products
-evaluates a sum of weighted products of polynomials, given as term dicts,
-with one accumulator per output monomial, so a polynomial product, a matrix
-entry or a whole identity reduces and normalises each coefficient once;
+evaluates a sum of weighted products of polynomials with one accumulator
+per output monomial, so a polynomial product, a matrix entry or a whole
+identity reduces and normalises each coefficient once;
 CycloNum.sum_of_products is its scalar case, with one accumulator for a
-scalar matrix entry or determinant.  linear_power expands a power of a
-linear form by the multinomial theorem, one product of reduced vectors and
-one canonical form per output term.
+scalar matrix entry or determinant.  linear_power expands a power of an
+affine form by the multinomial theorem, one product of reduced vectors and
+one canonical form per output term.  Both take their polynomial factors in
+integer form (integer_form): the exponent tuples and the integer
+numerators of a term dict over the lcm of its denominators.  MPoly builds
+that form once per polynomial, on first use, and keeps it, so a polynomial
+used in many products is put over its common denominator once.
 """
 
 from __future__ import annotations
@@ -151,44 +155,54 @@ def _orbit_product(n: int, y, g: int, m: int) -> list[int]:
     return prod
 
 
-def _over_lcm(coeffs) -> tuple[list, int]:
-    """The terms of a term dict as (exponents, integer numerators) over the
-    lcm of its denominators, and that lcm."""
+def integer_form(terms) -> tuple[tuple, list, int]:
+    """The integer form of a term dict: its exponent tuples, the integer
+    numerators of its coefficients over the lcm of their denominators, in
+    the same order, and that lcm.
+
+    This is the form in which sum_of_products and linear_power take their
+    factors.  A numerator vector already over the lcm is shared, not copied.
+    """
     den = 1
-    # pairwise: lcm(*generator) here made the peak RSS of derive_invariants
+    # pairwise, and lists, not tuple(generator): lcm(*generator) and
+    # tuple(generator) here each made the peak RSS of derive_invariants
     # grow pass after pass on CPython 3.11
-    for c in coeffs.values():
+    for c in terms.values():
         den = lcm(den, c._den)
-    return [
-        (e, c._num if c._den == den else [x * (den // c._den) for x in c._num])
-        for e, c in coeffs.items()
+    return tuple(terms), [
+        c._num if c._den == den else [x * (den // c._den) for x in c._num]
+        for c in terms.values()
     ], den
+
+
+def monomial_form(exps: tuple[int, ...], c: CycloNum) -> tuple[tuple, tuple, int]:
+    """The integer form of the one-term dict {exps: c}, for a nonzero c."""
+    return (exps,), (c._num,), c._den
 
 
 def sum_of_products(n: int, triples) -> dict:
     """The term dict of sum(k * left * right) over triples (k, left, right).
 
-    k is a small int; left and right map exponent tuples to nonzero
-    CycloNums, and triples may be any iterable, read once.  Each factor is
-    put over the lcm of its denominators, and each triple is scaled to the
-    running common denominator, the lcm of the triples' denominators so
-    far; when that grows, the accumulators are scaled up to it.  Every
-    pair of terms adds its unreduced integer convolution to the
-    accumulator of its output monomial, and each accumulator is reduced
-    mod Phi_n and made canonical once, at the end.  Reduction is linear and
-    the canonical form unique, so every coefficient is the one that
-    summing the CycloNum products of the pairs gives.  Zero sums are
-    dropped.
+    k is a small int; left and right are integer forms (integer_form or
+    monomial_form) of term dicts with nonzero CycloNum coefficients, which
+    MPoly builds once per polynomial and keeps; triples may be any
+    iterable, read once.  Each triple is scaled to the running common
+    denominator, the lcm of the triples' denominators so far; when that
+    grows, the accumulators are scaled up to it.  Every pair of terms adds
+    its unreduced integer convolution to the accumulator of its output
+    monomial, and each accumulator is reduced mod Phi_n and made canonical
+    once, at the end.  Reduction is linear and the canonical form unique,
+    so every coefficient is the one that summing the CycloNum products of
+    the pairs gives.  Zero sums are dropped.  A left term with no exponent
+    is a scalar, and its pairs take the right terms' monomials as they are.
     """
     d = len(cyclotomic_coeffs(n)) - 1
     width = 2 * d - 1
     sums: dict = {}
     den = 1
-    for k, left, right in triples:
-        if not (k and left and right):
+    for k, (lexps, lnums, dl), (rexps, rnums, dr) in triples:
+        if not (k and lexps and rexps):
             continue
-        ls, dl = _over_lcm(left)
-        rs, dr = _over_lcm(right)
         dt = dl * dr
         if den % dt:
             grow = lcm(den, dt) // den
@@ -201,17 +215,17 @@ def sum_of_products(n: int, triples) -> dict:
                     for j in range(width):
                         acc[j] *= grow
         s = k * (den // dt)
-        if d == 1:
-            for e1, (a,) in ls:
-                a *= s
-                for e2, (b,) in rs:
-                    exps = tuple(map(add, e1, e2))
+        for e1, u in zip(lexps, lnums):
+            shift = any(e1)
+            if d == 1:
+                a = u[0] * s
+                for e2, (b,) in zip(rexps, rnums):
+                    exps = tuple(map(add, e1, e2)) if shift else e2
                     sums[exps] = sums.get(exps, 0) + a * b
-            continue
-        for e1, u in ls:
+                continue
             nonzero = [(i, a * s) for i, a in enumerate(u) if a]
-            for e2, v in rs:
-                exps = tuple(map(add, e1, e2))
+            for e2, v in zip(rexps, rnums):
+                exps = tuple(map(add, e1, e2)) if shift else e2
                 acc = sums.get(exps)
                 if acc is None:
                     acc = sums[exps] = [0] * width
@@ -228,31 +242,35 @@ def sum_of_products(n: int, triples) -> dict:
     return out
 
 
-def linear_power(n: int, terms: dict, e: int) -> dict:
-    """The term dict of the e-th power of a linear form, by the multinomial
-    theorem: (sum_j b_j x_j)^e = sum over |a| = e of e!/a! prod_j b_j^a_j x^a.
+def linear_power(n: int, form: tuple, e: int) -> dict:
+    """The term dict of the e-th power of an affine form, by the multinomial
+    theorem: (sum_j b_j x_j)^e = sum over |a| = e of e!/a! prod_j b_j^a_j x^a,
+    where one x_j may be the constant 1.
 
-    terms maps the unit exponent tuples of the form's variables to their
-    nonzero coefficients b_j.  Over the lcm den of their denominators,
-    b_j = u_j / den, and each power u_j^a is one reduced integer vector, e
-    products per variable.  The output terms are walked variable by
-    variable, each choice of a_j multiplying the prefix by u_j^a_j once, so
-    that a term costs about one product of vectors and one canonical form,
-    over den^e.  Distinct a are distinct monomials, so nothing is summed,
-    and a product of nonzero field elements is never zero.
+    form is the integer form of the affine form's terms, each of degree at
+    most 1, with nonzero coefficients b_j = u_j / den.  Each power u_j^a is
+    one reduced integer vector, e products per term.  The output terms are
+    walked term by term, each choice of a_j multiplying the prefix by
+    u_j^a_j once, so that an output term costs about one product of vectors
+    and one canonical form, over den^e.  The constant adds no exponent, but
+    its a_j is fixed by the others, so distinct a are still distinct
+    monomials: nothing is summed, and a product of nonzero field elements is
+    never zero.
     """
-    ls, den = _over_lcm(terms)
-    where = [exps.index(1) for exps, _ in ls]
-    one = [1] + [0] * (len(ls[0][1]) - 1)
+    terms, nums, den = form
+    nvars = len(terms[0])
+    # the constant's slot is the extra last entry of exps, dropped from the output
+    where = [t.index(1) if any(t) else nvars for t in terms]
+    one = [1] + [0] * (len(nums[0]) - 1)
     powers = []
-    for _, u in ls:
+    for u in nums:
         row = [one, u]
         for _ in range(e - 1):
             row.append(_mul_nums(n, row[-1], u))
         powers.append(row)
     den_e = den ** e
-    exps = [0] * len(ls[0][0])
-    last = len(ls) - 1
+    exps = [0] * (nvars + 1)
+    last = len(terms) - 1
     out = {}
 
     def walk(j, rem, prefix, m):
@@ -260,7 +278,7 @@ def linear_power(n: int, terms: dict, e: int) -> dict:
         if j == last:
             exps[where[j]] = rem
             nums = powers[j][rem] if prefix is None else _mul_nums(n, prefix, powers[j][rem])
-            out[tuple(exps)] = _canonical(n, [m * c for c in nums], den_e)
+            out[tuple(exps[:nvars])] = _canonical(n, [m * c for c in nums], den_e)
             return
         for a in range(rem + 1):
             exps[where[j]] = a
@@ -413,6 +431,9 @@ class CycloNum:
         return _canonical(self.conductor, [-a for a in self._num], self._den)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # an integer scales the numerators, with no product of vectors
+            return _canonical(self.conductor, [a * other for a in self._num], self._den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

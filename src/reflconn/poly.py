@@ -5,11 +5,12 @@ No multivariate gcd exists anywhere in this package: rational functions
 compare by cross-multiplication and all simplification goes through exact
 division.
 
-A power of a linear form is expanded by the multinomial theorem
-(cyclo.linear_power), at about one scalar product per output term, with no
-lower power built.  The group action substitutes through a PowerTable over
-the linear images l_j of the variables, so the image of x^a takes each
-l_j^(a_j) alone; a power of any other polynomial is built by products.
+A power of an affine form (every term of degree at most 1) is expanded by
+the multinomial theorem (cyclo.linear_power), at about one scalar product
+per output term, with no lower power built.  The group action substitutes
+through a PowerTable over the linear images l_j of the variables, so the
+image of x^a takes each l_j^(a_j) alone; a power of any other polynomial is
+built by products.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from fractions import Fraction
 from itertools import chain, islice
 from operator import add
 
-from .cyclo import CycloNum, cyclotomic_coeffs, linear_power, signed_sum, sum_of_products
+from .cyclo import (
+    CycloNum,
+    cyclotomic_coeffs,
+    integer_form,
+    linear_power,
+    monomial_form,
+    signed_sum,
+    sum_of_products,
+)
 from .errors import ConductorMismatch, NotDivisible, NonHomogeneousInput
 from .linalg import mat_inverse
 
@@ -41,15 +50,23 @@ def weighted_exponents(target: int, weights) -> list[tuple[int, ...]]:
     ]
 
 
-def _is_linear(p: "MPoly") -> bool:
-    """Whether every term of p has degree 1; true for the zero polynomial."""
-    return all(sum(e) == 1 for e in p.terms)
+def _is_affine(p: "MPoly") -> bool:
+    """Whether every term of p has degree at most 1; true for the zero
+    polynomial."""
+    return all(sum(e) <= 1 for e in p.terms)
 
 
 class MPoly:
-    """Sparse polynomial in x1..xn or z1..zn with CycloNum coefficients."""
+    """Sparse polynomial in x1..xn or z1..zn with CycloNum coefficients.
 
-    __slots__ = ("alphabet", "nvars", "conductor", "terms")
+    `terms` maps exponent tuples to nonzero coefficients, and it never
+    changes after construction: every operation builds a fresh dict.  So a
+    polynomial keeps its integer form (cyclo.integer_form), its terms over
+    the lcm of their denominators: integer_form builds it on first use, and
+    every later product or power of an affine form reuses it.
+    """
+
+    __slots__ = ("alphabet", "nvars", "conductor", "terms", "_form")
 
     def __init__(self, alphabet: str, nvars: int, conductor: int, terms=None):
         if alphabet not in ("x", "z"):
@@ -63,6 +80,7 @@ class MPoly:
                 if coeff:
                     clean[tuple(exps)] = coeff
         self.terms = clean
+        self._form = None
 
     # -- constructors -------------------------------------------------------
 
@@ -92,7 +110,17 @@ class MPoly:
         p.nvars = self.nvars
         p.conductor = self.conductor
         p.terms = terms
+        p._form = None
         return p
+
+    def integer_form(self):
+        """The terms over the lcm of their denominators (cyclo.integer_form),
+        the form in which the cyclo kernels take a polynomial factor; built
+        on the first call and kept."""
+        form = self._form
+        if form is None:
+            form = self._form = integer_form(self.terms)
+        return form
 
     def _check_compat(self, other: "MPoly"):
         if self.alphabet != other.alphabet or self.nvars != other.nvars:
@@ -134,7 +162,8 @@ class MPoly:
         return self.leading_term()[1]
 
     def coefficient(self, exps) -> CycloNum:
-        return self.terms.get(tuple(exps), CycloNum.zero(self.conductor))
+        c = self.terms.get(tuple(exps))
+        return CycloNum.zero(self.conductor) if c is None else c
 
     def monomial_content(self) -> tuple[int, ...]:
         """Exponent vector of the largest monomial dividing every term."""
@@ -183,7 +212,7 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloNum)):
-            if not isinstance(other, CycloNum):
+            if isinstance(other, Fraction):
                 other = CycloNum.from_rational(other, self.conductor)
             if not other:
                 return MPoly.zero(self.alphabet, self.nvars, self.conductor)
@@ -198,7 +227,9 @@ class MPoly:
                 for e1, c1 in self.terms.items()
                 for e2, c2 in other.terms.items()
             })
-        return self._like(sum_of_products(self.conductor, ((1, self.terms, other.terms),)))
+        return self._like(sum_of_products(
+            self.conductor, ((1, self.integer_form(), other.integer_form()),)
+        ))
 
     __rmul__ = __mul__
 
@@ -208,7 +239,8 @@ class MPoly:
         one accumulation (cyclo.sum_of_products) that reads each triple once.
 
         k is a small int and b a polynomial; a is a polynomial, or a
-        CycloNum taken as a one-term factor.  Every factor must be
+        CycloNum taken as a one-term factor.  Each polynomial passes its
+        kept integer form (integer_form).  Every factor must be
         compatible with the first b, as for a product, and the sum lives in
         its space.  A lone triple with k = 1 is the product b * a, which
         takes the one-term path of __mul__.
@@ -222,7 +254,7 @@ class MPoly:
             return model * a
         constant = (0,) * model.nvars
 
-        def term_dicts():
+        def forms():
             for k, a, b in chain(head, triples):
                 model._check_compat(b)
                 if isinstance(a, CycloNum):
@@ -230,16 +262,17 @@ class MPoly:
                         raise ConductorMismatch(
                             f"conductors differ: {model.conductor} vs {a.conductor}"
                         )
-                    yield k, {constant: a} if a else {}, b.terms
+                    if a:
+                        yield k, monomial_form(constant, a), b.integer_form()
                 else:
                     model._check_compat(a)
-                    yield k, a.terms, b.terms
+                    yield k, a.integer_form(), b.integer_form()
 
-        return model._like(sum_of_products(model.conductor, term_dicts()))
+        return model._like(sum_of_products(model.conductor, forms()))
 
     def __pow__(self, exponent: int):
-        """self ** exponent: a monomial by its exponents and coefficient, a
-        linear form of two or more terms by the multinomial theorem
+        """self ** exponent: a monomial by its exponents and coefficient, an
+        affine form of two or more terms by the multinomial theorem
         (cyclo.linear_power), any other polynomial by repeated squaring."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
@@ -247,8 +280,8 @@ class MPoly:
             # a monomial: exponents times k, coefficient to the k
             [(exps, coeff)] = self.terms.items()
             return self._like({tuple(e * exponent for e in exps): coeff ** exponent})
-        if self.terms and _is_linear(self):
-            return self._like(linear_power(self.conductor, self.terms, exponent))
+        if self.terms and _is_affine(self):
+            return self._like(linear_power(self.conductor, self.integer_form(), exponent))
         result = MPoly.constant(1, self.alphabet, self.nvars, self.conductor)
         base = self
         e = exponent
@@ -403,7 +436,7 @@ class MPoly:
 class PowerTable:
     """The powers of substitution polynomials args[0..n-1], each built when
     first needed and kept for the table's life, so that every composition
-    through it shares them.  A power of a linear form, such as each of a
+    through it shares them.  A power of an affine form, such as each of a
     group element's linear images, is taken alone by MPoly.__pow__, with no
     lower power built; a power of any other arg by one product from the one
     below it.
@@ -431,7 +464,7 @@ class PowerTable:
         p = powers.get(e)
         if p is None:
             arg = self.args[i]
-            if _is_linear(arg):
+            if _is_affine(arg):
                 p = powers[e] = arg ** e
             else:
                 # the chain holds every exponent below its length

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflconn.cyclo import CycloNum, cyclotomic_coeffs, euler_phi, signed_sum, sum_of_products
+from reflconn.cyclo import (
+    CycloNum,
+    cyclotomic_coeffs,
+    euler_phi,
+    integer_form,
+    signed_sum,
+    sum_of_products,
+)
 from reflconn.errors import ConductorMismatch
 from reflconn.parsing import parse_scalar
 
@@ -303,17 +310,45 @@ def _naive_sum_of_products(n, triples):
     return {e: c for e, c in out.items() if c}
 
 
+def _forms(triples):
+    """The triples with their term dicts in integer form, as the kernel takes them."""
+    return [(k, integer_form(left), integer_form(right)) for k, left, right in triples]
+
+
+class TestIntegerFactor:
+    @pytest.mark.parametrize("n", (1, 5, 12))
+    def test_int_factor_equals_its_rational_element(self, n):
+        d = euler_phi(n)
+        values = [
+            CycloNum.zero(n),
+            CycloNum.one(n),
+            CycloNum.zeta(n, 2) * Fraction(-3, 4),
+            CycloNum(n, [Fraction(k - 2, 6 + k) for k in range(d)]),
+        ]
+        # 0, +-1, and large ints that share and do not share a denominator
+        for k in (0, 1, -1, 2, -6 * 10 ** 40, 2 ** 127 - 1, -(3 ** 90), 7 * 11 * 13 * 10 ** 25):
+            rational = CycloNum.from_rational(k, n)
+            for c in values:
+                expected = c * rational
+                for out in (c * k, k * c):
+                    assert out == expected
+                    assert (out._num, out._den) == (expected._num, expected._den)
+                    assert _is_canonical(out)
+        c = values[-1]
+        assert c * True == c and c * False == 0
+
+
 class TestSumOfProducts:
     @settings(max_examples=300, deadline=None)
     @given(product_sums())
     def test_matches_naive_cyclonum_sum(self, case):
         n, triples = case
-        out = sum_of_products(n, triples)
+        out = sum_of_products(n, _forms(triples))
         assert out == _naive_sum_of_products(n, triples)
         for c in out.values():
             assert c and c.conductor == n and _is_canonical(c)
         # each triple against its negation cancels to the empty dict
-        assert sum_of_products(n, triples + [(-k, l, r) for k, l, r in triples]) == {}
+        assert sum_of_products(n, _forms(triples + [(-k, l, r) for k, l, r in triples])) == {}
 
     def test_mixed_denominators_cancel_exactly(self):
         half, third = Fraction(1, 2), Fraction(1, 3)
@@ -322,15 +357,15 @@ class TestSumOfProducts:
         right_sum = {(1, 0): C(0, 0, Fraction(1, 5), 0), (0, 0): C(Fraction(1, 14), 0, 0, half)}
         # 2 * left * (right / 2) - left * right == 0, with the denominators
         # 2, 3, 5 and 7 on the factors and 70 on the triples
-        assert sum_of_products(12, [(2, left, right_sum), (-1, left, right)]) == {}
-        assert sum_of_products(12, [(2, left, right_sum)]) == _naive_sum_of_products(
+        assert sum_of_products(12, _forms([(2, left, right_sum), (-1, left, right)])) == {}
+        assert sum_of_products(12, _forms([(2, left, right_sum)])) == _naive_sum_of_products(
             12, [(1, left, right)]
         )
 
     def test_empty_and_zero_weight_triples(self):
         left = {(1, 0): C(1, 0, 0, 0)}
         assert sum_of_products(12, []) == {}
-        assert sum_of_products(12, [(0, left, left), (1, {}, left)]) == {}
+        assert sum_of_products(12, _forms([(0, left, left), (1, {}, left)])) == {}
 
 
 @st.composite

@@ -261,8 +261,9 @@ class TestTermBound:
 
 
 class TestLargestPowersOfLinearForms:
-    """The largest powers of linear forms within every bound, expanded by
-    the multinomial theorem, with their coefficients pinned exactly."""
+    """The largest powers of linear and affine forms within every bound,
+    expanded by the multinomial theorem, with their coefficients pinned
+    exactly."""
 
     def test_binary_form_to_the_degree_bound(self):
         p = px(f"(x1+x2)^{MAX_DEGREE}")
@@ -278,6 +279,15 @@ class TestLargestPowersOfLinearForms:
         multinomial = factorial(61) // (factorial(20) * factorial(20) * factorial(21))
         assert p.coefficient((20, 20, 21)) == multinomial
         assert p.coefficient((61, 0, 0)) == 1
+
+    def test_affine_form_to_the_term_bound(self):
+        # the constant takes the place of x3: same terms, same coefficients
+        p = px("(x1+x2+1)^61")
+        assert len(p.terms) == 1953
+        multinomial = factorial(61) // (factorial(20) * factorial(20) * factorial(21))
+        assert p.coefficient((20, 20)) == multinomial
+        assert p.coefficient((0, 0)) == p.coefficient((61, 0)) == 1
+        assert p.coefficient((60, 0)) == 61
 
 
 class TestNestingAndDigitBounds:

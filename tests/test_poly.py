@@ -30,6 +30,7 @@ from reflconn.poly import (
 )
 
 from conftest import px, pz
+from test_cyclo import _naive_sum_of_products
 
 
 class TestBasics:
@@ -130,22 +131,39 @@ def _repeated_product(p, e):
     return acc
 
 
-@st.composite
-def linear_forms(draw):
-    """A linear form in x1..x4 with 2 to 4 nonzero coefficients, each a
-    rational times a power of zeta or a general element, over one of the
-    conductors 1, 3, 4, 5 and 12."""
-    n = draw(st.sampled_from((1, 3, 4, 5, 12)))
+def _form_coefficients(n):
+    """Nonzero elements of Q(zeta_n): a rational times a power of zeta, or a
+    general element."""
     d = euler_phi(n)
     rational = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
     zeta_multiple = st.builds(
         lambda k, q: CycloNum.zeta(n, k) * q, st.integers(0, 2 * n), rational
     )
     general = st.lists(rational, min_size=d, max_size=d).map(lambda c: CycloNum(n, c))
-    coeff = st.one_of(zeta_multiple, general).filter(bool)
+    return st.one_of(zeta_multiple, general).filter(bool)
+
+
+@st.composite
+def linear_forms(draw):
+    """A linear form in x1..x4 with 2 to 4 nonzero coefficients, each a
+    rational times a power of zeta or a general element, over one of the
+    conductors 1, 3, 4, 5 and 12."""
+    n = draw(st.sampled_from((1, 3, 4, 5, 12)))
+    coeff = _form_coefficients(n)
     variables = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))
     units = [tuple(int(j == i) for j in range(4)) for i in variables]
     return MPoly("x", 4, n, {u: draw(coeff) for u in units})
+
+
+@st.composite
+def affine_forms(draw):
+    """A linear form in x1..x3 with 1 to 3 nonzero coefficients plus a
+    nonzero constant, over one of the conductors 1, 3 and 12."""
+    n = draw(st.sampled_from((1, 3, 12)))
+    coeff = _form_coefficients(n)
+    variables = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    units = [tuple(int(j == i) for j in range(3)) for i in variables]
+    return MPoly("x", 3, n, {u: draw(coeff) for u in units + [(0, 0, 0)]})
 
 
 class TestLinearFormPower:
@@ -192,11 +210,29 @@ class TestLinearFormPower:
             assert table.power(0, e) == (one if e == 0 else zero)
             assert table.power(1, e) == monomial ** e == _repeated_product(monomial, e)
 
-    def test_affine_forms_take_the_product_path(self):
-        # a constant term is not linear: x1 + 1 is squared by products
-        form = px("x1 + 1")
-        assert form ** 7 == _repeated_product(form, 7)
-        assert PowerTable([form, form]).power(1, 7) == _repeated_product(form, 7)
+    @settings(max_examples=100, deadline=None)
+    @given(affine_forms(), st.integers(0, 15))
+    def test_affine_power_is_the_repeated_product(self, form, e):
+        expected = _repeated_product(form, e)
+        assert form ** e == expected
+        assert PowerTable([form, form, form]).power(2, e) == expected
+
+    def test_affine_forms_take_no_product(self, monkeypatch):
+        # the constant is one more multinomial slot, which adds no exponent
+        form, ternary = px("x1 + 1"), px("x1 + x2 + 1")
+        expected = _repeated_product(form, 7)
+        calls = []
+        product = MPoly.__mul__
+
+        def counting(a, b):
+            calls.append(None)
+            return product(a, b)
+
+        monkeypatch.setattr(MPoly, "__mul__", counting)
+        assert form ** 7 == expected
+        assert PowerTable([form, form]).power(1, 7) == expected
+        assert len((ternary ** 61).terms) == 1953
+        assert not calls
 
 
 def _pairwise_product(a, b):
@@ -254,6 +290,70 @@ class TestProductKernel:
         monkeypatch.setattr(CycloNum, "__rmul__", counting)
         assert (a * b).terms == expected
         assert not calls
+
+
+@st.composite
+def shared_factor_calls(draw):
+    """(n, pool, scalars, calls): term dicts in x1, x2 over Q(zeta_n), n in
+    1, 3 and 12, with mixed denominators and constants among them; nonzero
+    scalars; and up to 8 calls over them.  A call is a product (i, j) or a
+    sum of products, a list of triples (k, i, j) whose left factor i < 0
+    names scalars[-1 - i]."""
+    n = draw(st.sampled_from((1, 3, 12)))
+    d = euler_phi(n)
+    coeff = st.builds(
+        lambda nums, dens: CycloNum(n, [Fraction(x, q) for x, q in zip(nums, dens)]),
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+        st.lists(st.sampled_from((1, 2, 3, 4, 6, 9, 10)), min_size=d, max_size=d),
+    ).filter(bool)
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = st.one_of(
+        st.dictionaries(exps, coeff, min_size=1, max_size=5),
+        coeff.map(lambda c: {(0, 0): c}),
+    )
+    pool = draw(st.lists(terms, min_size=2, max_size=5))
+    scalars = draw(st.lists(coeff, min_size=1, max_size=2))
+    right = st.integers(0, len(pool) - 1)
+    left = st.integers(-len(scalars), len(pool) - 1)
+    product = st.tuples(right, right)
+    weighted = st.lists(st.tuples(st.integers(-2, 2), left, right), min_size=1, max_size=4)
+    calls = draw(st.lists(st.one_of(product, weighted), min_size=1, max_size=8))
+    return n, pool, scalars, calls
+
+
+class TestKeptIntegerForms:
+    @settings(max_examples=150, deadline=None)
+    @given(shared_factor_calls())
+    def test_reused_factors_match_the_naive_sum(self, case):
+        n, pool, scalars, calls = case
+
+        def naive(call):
+            if isinstance(call, tuple):
+                call = [(1, *call)]
+            return _naive_sum_of_products(n, [
+                (k, {(0, 0): scalars[-1 - i]} if i < 0 else pool[i], pool[j])
+                for k, i, j in call
+            ])
+
+        def run(order):
+            # fresh objects, so each order fills the kept forms in its own way
+            polys = [MPoly("x", 2, n, t) for t in pool]
+            out = {}
+            for c in order:
+                call = calls[c]
+                if isinstance(call, tuple):
+                    out[c] = (polys[call[0]] * polys[call[1]]).terms
+                else:
+                    out[c] = MPoly.sum_of_products([
+                        (k, scalars[-1 - i] if i < 0 else polys[i], polys[j])
+                        for k, i, j in call
+                    ]).terms
+            return out
+
+        order = range(len(calls))
+        forward, backward = run(order), run(reversed(order))
+        for c in order:
+            assert forward[c] == backward[c] == naive(calls[c])
 
 
 class TestSumOfProductsMethod:

@@ -1,17 +1,20 @@
 """The exact verifiers, including mutation (failure-injection) coverage."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reflconn import poly
 from reflconn.connection import build_system, jacobian, scaled_connection
 from reflconn.cyclo import CycloNum
 from reflconn.errors import DenominatorMismatch
 from reflconn.invariants import InvariantTuple, catalog_names, fundamental_invariants
 from reflconn.linalg import det, mat_mul, mat_sub
 from reflconn.poly import MPoly
+from reflconn.render import render_json, system_from_dict
 from reflconn.rewrite import Rewriter
 from reflconn.verify import (
     VerificationReport,
@@ -284,6 +287,29 @@ class TestIntegrabilityWitnesses:
                     assert got == _reference_integrability(bad)
                     flagged += not all(passed for _, passed, _ in got)
         assert flagged
+
+
+class TestIntegerFormsPerCheck:
+    def test_stored_system_puts_each_polynomial_over_its_denominator_once(self, monkeypatch):
+        # the stored G(2,1,3) system: 85 distinct polynomials enter the
+        # integrability products, which once made 540 normalisations
+        group, _, _, _, cs = derived_pipeline("G(2,1,3)")
+        stored = system_from_dict(json.loads(render_json(cs, "G(2,1,3)", group.conductor)))
+        built = []
+        make = poly.integer_form
+
+        def counting(terms):
+            built.append(None)
+            return make(terms)
+
+        monkeypatch.setattr(poly, "integer_form", counting)
+        assert check_integrability(stored).all_passed
+        assert len(built) == 85
+        # a second check keeps the numerators' forms and builds only those
+        # of its fresh partials and gradient of q
+        built.clear()
+        assert check_integrability(stored).all_passed
+        assert len(built) == 57
 
 
 class TestEachGradientOnce:
