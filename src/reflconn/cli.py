@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .connection import connection_in_z, jacobian, scaled_connection
-from .errors import NonInvariantEntry, ReflconnError
+from .errors import NonInvariantEntry, NotInvariant, ReflconnError
 from .groups import DEFAULT_CAP, group_from_spec, load_group_spec, read_json
 from .invariants import (
     catalog_names,
@@ -65,11 +65,12 @@ def cmd_compute(args) -> int:
     jd = jacobian(phi)
     try:
         sc = scaled_connection(jd, group=group)
-    except NonInvariantEntry as exc:
-        # the invariants given fail a group check: a failed verification
+        cs = connection_in_z(sc, phi)
+    except (NonInvariantEntry, NotInvariant) as exc:
+        # the invariants given fail a group check, or pass them but cannot
+        # write an entry of the connection: a failed verification
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    cs = connection_in_z(sc, phi)
     report = full_report(group, phi, jd, sc, cs)
 
     if args.format == "json":

@@ -14,13 +14,14 @@ evaluates a sum of weighted products of polynomials with one accumulator
 per output monomial, so a polynomial product, a matrix entry or a whole
 identity reduces and normalises each coefficient once;
 CycloNum.sum_of_products is its scalar case, with one accumulator for a
-scalar matrix entry or determinant.  linear_power expands a power of an
-affine form by the multinomial theorem, one product of reduced vectors and
-one canonical form per output term.  Both take their polynomial factors in
-integer form (integer_form): the exponent tuples and the integer
-numerators of a term dict over the lcm of its denominators.  MPoly builds
-that form once per polynomial, on first use, and keeps it, so a polynomial
-used in many products is put over its common denominator once.
+scalar matrix entry or determinant.  multinomial_power expands a power of
+any sum of terms by the multinomial theorem, about one product of reduced
+vectors per choice of exponents and one canonical form per output
+monomial.  Both take their polynomial factors in integer form
+(integer_form): the exponent tuples and the integer numerators of a term
+dict over the lcm of its denominators.  MPoly builds that form once per
+polynomial, on first use, and keeps it, so a polynomial used in many
+products is put over its common denominator once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import ConductorMismatch, InvalidSpec
 
@@ -160,8 +161,9 @@ def integer_form(terms) -> tuple[tuple, list, int]:
     numerators of its coefficients over the lcm of their denominators, in
     the same order, and that lcm.
 
-    This is the form in which sum_of_products and linear_power take their
-    factors.  A numerator vector already over the lcm is shared, not copied.
+    This is the form in which sum_of_products and multinomial_power take
+    their factors.  A numerator vector already over the lcm is shared, not
+    copied.
     """
     den = 1
     # pairwise, and lists, not tuple(generator): lcm(*generator) and
@@ -242,54 +244,67 @@ def sum_of_products(n: int, triples) -> dict:
     return out
 
 
-def linear_power(n: int, form: tuple, e: int) -> dict:
-    """The term dict of the e-th power of an affine form, by the multinomial
-    theorem: (sum_j b_j x_j)^e = sum over |a| = e of e!/a! prod_j b_j^a_j x^a,
-    where one x_j may be the constant 1.
+def multinomial_power(n: int, form: tuple, e: int) -> dict:
+    """The term dict of the e-th power of a sum of t >= 2 terms, by the
+    multinomial theorem: (sum_j b_j x^m_j)^e is the sum over |a| = e of
+    e!/a! prod_j b_j^a_j x^(sum_j a_j m_j).
 
-    form is the integer form of the affine form's terms, each of degree at
-    most 1, with nonzero coefficients b_j = u_j / den.  Each power u_j^a is
-    one reduced integer vector, e products per term.  The output terms are
-    walked term by term, each choice of a_j multiplying the prefix by
-    u_j^a_j once, so that an output term costs about one product of vectors
-    and one canonical form, over den^e.  The constant adds no exponent, but
-    its a_j is fixed by the others, so distinct a are still distinct
-    monomials: nothing is summed, and a product of nonzero field elements is
-    never zero.
+    form is the integer form of the term dict, with nonzero coefficients
+    b_j = u_j / den.  Each power u_j^a is one reduced integer vector, e
+    products per term.  An exponent vector is packed into one integer, its
+    entries the digits in a base above every exponent of the power, so that
+    adding a_j * m_j is one integer sum.  The choices a are walked from an
+    explicit stack, term by term: each a_j > 0 multiplies the prefix by
+    u_j^a_j once, and the last term takes what is left, so that each of the
+    comb(t + e - 1, e) choices costs about one product of vectors.  Choices
+    that land on one monomial add their integer vectors; each output term is
+    made canonical once, over den^e, and a zero sum is dropped.
     """
     terms, nums, den = form
-    nvars = len(terms[0])
-    # the constant's slot is the extra last entry of exps, dropped from the output
-    where = [t.index(1) if any(t) else nvars for t in terms]
     one = [1] + [0] * (len(nums[0]) - 1)
-    powers = []
+    base = e * max(map(max, terms)) + 1
+    digits = [base ** i for i in range(len(terms[0]))]
+    packed = [sum(map(mul, exps, digits)) for exps in terms]
+    powers = []  # powers[j][a]: u_j^a
     for u in nums:
         row = [one, u]
         for _ in range(e - 1):
             row.append(_mul_nums(n, row[-1], u))
         powers.append(row)
-    den_e = den ** e
-    exps = [0] * (nvars + 1)
     last = len(terms) - 1
-    out = {}
-
-    def walk(j, rem, prefix, m):
-        # prefix: the product of the u_i^a_i chosen for i < j, None for 1
-        if j == last:
-            exps[where[j]] = rem
-            nums = powers[j][rem] if prefix is None else _mul_nums(n, prefix, powers[j][rem])
-            out[tuple(exps[:nvars])] = _canonical(n, [m * c for c in nums], den_e)
-            return
+    lrow, lshift = powers[last], packed[last]
+    sums: dict = {}
+    # (j, rem, prefix, exps, m): a_i chosen for i < j with rem of e left,
+    # prefix the product of their u_i^a_i, exps the packed sum of their
+    # a_i * m_i, and m the multinomial coefficient so far; j < last
+    stack = [(0, e, one, 0, 1)]
+    while stack:
+        j, rem, prefix, exps, m = stack.pop()
+        row, shift = powers[j], packed[j]
         for a in range(rem + 1):
-            exps[where[j]] = a
+            vec, key, k = prefix, exps, m
             if a:
-                step = powers[j][a] if prefix is None else _mul_nums(n, prefix, powers[j][a])
+                vec = row[a] if vec is one else _mul_nums(n, vec, row[a])
+                key += a * shift
+                k *= comb(rem, a)
+            b = rem - a
+            if b and j + 1 < last:
+                stack.append((j + 1, b, vec, key, k))
+                continue
+            if b:
+                vec = lrow[b] if vec is one else _mul_nums(n, vec, lrow[b])
+                key += b * lshift
+            acc = sums.get(key)
+            if acc is None:
+                sums[key] = [k * c for c in vec]
             else:
-                step = prefix
-            walk(j + 1, rem - a, step, m * comb(rem, a))
-
-    walk(0, e, None, 1)
-    return out
+                for i, c in enumerate(vec):
+                    acc[i] += k * c
+    den_e = den ** e
+    return {
+        tuple([key // d % base for d in digits]): _canonical(n, acc, den_e)
+        for key, acc in sums.items() if any(acc)
+    }
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:

@@ -48,8 +48,10 @@ MAX_DEGREE = 1000
 
 # Most terms a product or a power may have, checked before it is expanded:
 # len(a) * len(b) for a product, comb(t + k - 1, k) for the k-th power of t
-# terms.  Catalog specs, rendered artifacts and benchmark queries are flat
-# sums, whose products all have a one-term factor.
+# terms.  That count is also the number of choices the multinomial walk of
+# the power visits (cyclo.multinomial_power), so it bounds the walk's work
+# as well as its output.  Catalog specs, rendered artifacts and benchmark
+# queries are flat sums, whose products all have a one-term factor.
 MAX_TERMS = 2000
 
 # Deepest nesting of parentheses: each level is two frames, expr and term,

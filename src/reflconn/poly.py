@@ -5,12 +5,11 @@ No multivariate gcd exists anywhere in this package: rational functions
 compare by cross-multiplication and all simplification goes through exact
 division.
 
-A power of an affine form (every term of degree at most 1) is expanded by
-the multinomial theorem (cyclo.linear_power), at about one scalar product
-per output term, with no lower power built.  The group action substitutes
-through a PowerTable over the linear images l_j of the variables, so the
-image of x^a takes each l_j^(a_j) alone; a power of any other polynomial is
-built by products.
+A power of a polynomial of two or more terms is expanded by the
+multinomial theorem (cyclo.multinomial_power), at about one scalar product
+per choice of exponents, with no lower power built.  The group action
+substitutes through a PowerTable over the linear images l_j of the
+variables, so the image of x^a takes each l_j^(a_j) alone.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from .cyclo import (
     CycloNum,
     cyclotomic_coeffs,
     integer_form,
-    linear_power,
     monomial_form,
+    multinomial_power,
     signed_sum,
     sum_of_products,
 )
@@ -50,12 +49,6 @@ def weighted_exponents(target: int, weights) -> list[tuple[int, ...]]:
     ]
 
 
-def _is_affine(p: "MPoly") -> bool:
-    """Whether every term of p has degree at most 1; true for the zero
-    polynomial."""
-    return all(sum(e) <= 1 for e in p.terms)
-
-
 class MPoly:
     """Sparse polynomial in x1..xn or z1..zn with CycloNum coefficients.
 
@@ -63,7 +56,7 @@ class MPoly:
     changes after construction: every operation builds a fresh dict.  So a
     polynomial keeps its integer form (cyclo.integer_form), its terms over
     the lcm of their denominators: integer_form builds it on first use, and
-    every later product or power of an affine form reuses it.
+    every later product or power reuses it.
     """
 
     __slots__ = ("alphabet", "nvars", "conductor", "terms", "_form")
@@ -271,26 +264,20 @@ class MPoly:
         return model._like(sum_of_products(model.conductor, forms()))
 
     def __pow__(self, exponent: int):
-        """self ** exponent: a monomial by its exponents and coefficient, an
-        affine form of two or more terms by the multinomial theorem
-        (cyclo.linear_power), any other polynomial by repeated squaring."""
+        """self ** exponent: a polynomial of two or more terms by the
+        multinomial theorem (cyclo.multinomial_power), a monomial by its
+        exponents and coefficient."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        if len(self.terms) == 1:
-            # a monomial: exponents times k, coefficient to the k
-            [(exps, coeff)] = self.terms.items()
-            return self._like({tuple(e * exponent for e in exps): coeff ** exponent})
-        if self.terms and _is_affine(self):
-            return self._like(linear_power(self.conductor, self.integer_form(), exponent))
-        result = MPoly.constant(1, self.alphabet, self.nvars, self.conductor)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if len(self.terms) > 1:
+            return self._like(multinomial_power(self.conductor, self.integer_form(), exponent))
+        if not exponent:
+            return MPoly.constant(1, self.alphabet, self.nvars, self.conductor)
+        # a monomial, or zero: exponents times k, coefficient to the k
+        return self._like({
+            tuple(e * exponent for e in exps): coeff ** exponent
+            for exps, coeff in self.terms.items()
+        })
 
     def exact_div(self, other: "MPoly") -> "MPoly":
         """Quotient f/g when g divides f exactly; raises NotDivisible otherwise.
@@ -434,12 +421,9 @@ class MPoly:
 
 
 class PowerTable:
-    """The powers of substitution polynomials args[0..n-1], each built when
-    first needed and kept for the table's life, so that every composition
-    through it shares them.  A power of an affine form, such as each of a
-    group element's linear images, is taken alone by MPoly.__pow__, with no
-    lower power built; a power of any other arg by one product from the one
-    below it.
+    """The powers of substitution polynomials args[0..n-1], each taken alone
+    by MPoly.__pow__ when first needed, with no lower power built, and kept
+    for the table's life, so that every composition through it shares them.
 
     A table lives as long as its holder keeps it: one composition, or the
     group checks of one system (ScaledConnection.tables), which also share
@@ -463,13 +447,7 @@ class PowerTable:
         powers = self._powers[i]
         p = powers.get(e)
         if p is None:
-            arg = self.args[i]
-            if _is_affine(arg):
-                p = powers[e] = arg ** e
-            else:
-                # the chain holds every exponent below its length
-                while len(powers) <= e:
-                    p = powers[len(powers)] = powers[len(powers) - 1] * arg
+            p = powers[e] = self.args[i] ** e
         return p
 
     def image(self, f: MPoly) -> MPoly:

@@ -261,9 +261,9 @@ class TestTermBound:
 
 
 class TestLargestPowersOfLinearForms:
-    """The largest powers of linear and affine forms within every bound,
-    expanded by the multinomial theorem, with their coefficients pinned
-    exactly."""
+    """The largest powers of linear and affine forms, and of other sums of
+    three terms, within every bound, expanded by the multinomial theorem,
+    with their coefficients pinned exactly."""
 
     def test_binary_form_to_the_degree_bound(self):
         p = px(f"(x1+x2)^{MAX_DEGREE}")
@@ -288,6 +288,30 @@ class TestLargestPowersOfLinearForms:
         assert p.coefficient((20, 20)) == multinomial
         assert p.coefficient((0, 0)) == p.coefficient((61, 0)) == 1
         assert p.coefficient((60, 0)) == 61
+
+    def test_sum_of_squares_to_the_term_bound(self):
+        # x1^2 and x2^2 take the places of x1 and x2: no two choices collide
+        p = px("(x1^2+x2^2+1)^61")
+        assert len(p.terms) == 1953
+        multinomial = factorial(61) // (factorial(20) * factorial(20) * factorial(21))
+        assert p.coefficient((40, 40)) == multinomial
+        assert p.coefficient((0, 0)) == p.coefficient((122, 0)) == 1
+
+    def test_product_form_to_the_term_bound(self):
+        # (x1*x2)^a*x1^b*x2^c is x1^(a+b)*x2^(a+c), so with a+b+c = 61 the
+        # 1,953 choices give 1,953 distinct monomials
+        p = px("(x1*x2+x1+x2)^61")
+        assert len(p.terms) == 1953
+        multinomial = factorial(61) // (factorial(20) * factorial(20) * factorial(21))
+        assert p.coefficient((41, 40)) == multinomial
+        assert p.coefficient((61, 61)) == p.coefficient((61, 0)) == 1
+
+    def test_long_sum_to_the_first_and_zeroth_power(self):
+        # 1,980 terms, within MAX_TERMS at exponent 1: the multinomial walk
+        # keeps its own stack, so no recursion grows with the number of terms
+        text = " + ".join(f"x1^{i}*x2^{j}" for i in range(45) for j in range(44))
+        assert px(f"({text})^1") == px(text)
+        assert px(f"({text})^0") == 1
 
 
 class TestNestingAndDigitBounds:

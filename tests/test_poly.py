@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reflconn.cyclo import CycloNum, euler_phi
@@ -218,7 +218,8 @@ class TestLinearFormPower:
         assert PowerTable([form, form, form]).power(2, e) == expected
 
     def test_affine_forms_take_no_product(self, monkeypatch):
-        # the constant is one more multinomial slot, which adds no exponent
+        # the constant is one more multinomial slot, which adds no exponent;
+        # a sum of higher monomials takes the same walk
         form, ternary = px("x1 + 1"), px("x1 + x2 + 1")
         expected = _repeated_product(form, 7)
         calls = []
@@ -232,7 +233,42 @@ class TestLinearFormPower:
         assert form ** 7 == expected
         assert PowerTable([form, form]).power(1, 7) == expected
         assert len((ternary ** 61).terms) == 1953
+        assert len(px("(x1^2+x2^2+1)^61").terms) == 1953
+        assert len(px("(x1*x2+x1+x2)^61").terms) == 1953
         assert not calls
+
+
+@st.composite
+def term_sums(draw):
+    """A sum of 1 to 4 distinct monomials in x1..x3 of degree 0 to 3, each
+    coefficient a rational times a power of zeta or a general element,
+    over one of the conductors 1, 3, 5 and 12."""
+    n = draw(st.sampled_from((1, 3, 5, 12)))
+    coeff = _form_coefficients(n)
+    monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    return MPoly("x", 3, n, {e: draw(coeff) for e in chosen})
+
+
+class TestPolynomialPower:
+    @settings(max_examples=150, deadline=None)
+    @given(term_sums(), st.integers(0, 10))
+    # a constant, an affine form, and a form whose powers collide
+    @example(MPoly.constant(CycloNum.zeta(12, 5) * 3, "x", 3, 12), 7)
+    @example(MPoly("x", 3, 5, {(1, 0, 0): CycloNum.zeta(5, 2), (0, 0, 0): CycloNum.one(5)}), 9)
+    @example(MPoly("x", 3, 3, {e: CycloNum.one(3) for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0))}), 10)
+    def test_power_is_the_repeated_product(self, p, e):
+        expected = _repeated_product(p, e)
+        assert p ** e == expected
+        table = PowerTable([p])
+        assert table.power(0, e) == expected
+        assert table.power(0, e) is table.power(0, e)
+
+    def test_colliding_terms_cancel(self):
+        # the x1^2*x2^2 choices 4*x1^2*x2^2 and -4*x1^2*x2^2 sum to zero
+        p = px("x1^2 + 2*x1*x2 - 2*x2^2") ** 2
+        assert p == px("x1^4 + 4*x1^3*x2 - 8*x1*x2^3 + 4*x2^4")
+        assert (2, 2) not in p.terms
 
 
 def _pairwise_product(a, b):

@@ -329,6 +329,31 @@ class TestCli:
         assert "sum of d_i - 1 = 6, 4 reflections, deg det J = 6" in err
         assert err.count("[FAIL]") == 2
 
+    @pytest.mark.parametrize("conductor, generators, invariants", [
+        # invariant and independent, of degree product 16 against |G| = 8
+        (12, [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+         ["x1^2 + x2^2", "x1^4*x2^4"]),
+        # the reflection diag(-1, 1) fixes x1^2 and x2^3, but the ring it
+        # fixes is generated by x1^2 and x2
+        (1, [[["-1", "0"], ["0", "1"]]], ["x1^2", "x2^3"]),
+    ])
+    def test_invariants_short_of_the_ring_exit_3(
+        self, conductor, generators, invariants, tmp_path, capsys
+    ):
+        # the group checks pass, but an entry of the connection cannot be
+        # written in the given invariants: a failed verification
+        spec = {"conductor": conductor, "rank": 2, "generators": generators,
+                "invariants": invariants}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["compute", "--spec-file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: NotInvariant: polynomial is not in the subring generated "
+            "by the invariants\n"
+        )
+
     def test_non_invariant_spec_invariants_exit_3(self, tmp_path, capsys):
         # x1^2 and x2^2 are independent but not fixed by the swap x1 <-> x2,
         # so the Jacobian equivariance check of the spec's invariants fails
