@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of values in
+their messages."""
+
+import reprlib
+
+# Most characters of a value, token or polynomial that an error message quotes.
+MAX_SHOWN = 60
+
+_SHORT_REPR = reprlib.Repr()
+_SHORT_REPR.maxlevel = 2
+
+
+def shorten(text: str) -> str:
+    """text for an error message: as it is up to MAX_SHOWN characters, else
+    its first MAX_SHOWN - 3 characters and '...'."""
+    return text if len(text) <= MAX_SHOWN else text[: MAX_SHOWN - 3] + "..."
+
+
+def describe(value) -> str:
+    """A rejected value for an error message: a prefix of its repr of at
+    most MAX_SHOWN characters, then its type."""
+    return f"{shorten(_SHORT_REPR.repr(value))} ({type(value).__name__})"
 
 
 class ReflconnError(Exception):

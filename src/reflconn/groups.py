@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import lcm
@@ -15,6 +14,7 @@ from .errors import (
     NotAMember,
     NotAReflectionGroup,
     SingularMatrix,
+    describe,
 )
 from .linalg import det, identity_matrix, mat_mul, mat_rank, mat_sub
 from .parsing import parse_scalar
@@ -255,20 +255,6 @@ def parse_matrix(rows, conductor: int) -> Matrix:
 
 def is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value > 0
-
-
-_SHORT_REPR = reprlib.Repr()
-_SHORT_REPR.maxlevel = 2
-MAX_SHOWN = 60
-
-
-def describe(value) -> str:
-    """A rejected value for an error message: a prefix of its repr of at
-    most MAX_SHOWN characters, then its type."""
-    text = _SHORT_REPR.repr(value)
-    if len(text) > MAX_SHOWN:
-        text = text[: MAX_SHOWN - 3] + "..."
-    return f"{text} ({type(value).__name__})"
 
 
 MAX_NAME = 100

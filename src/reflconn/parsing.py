@@ -1,4 +1,15 @@
-"""Parser for the expression grammar: one flat pass over the tokens.
+"""Parser for the expression grammar, by two readers.
+
+Each text selects one reader.  _read_printed reads the printer's language,
+the flat sums that str(MPoly) and str(CycloNum) write, at one anchored
+regex match per term and one per piece of a parenthesised coefficient; it
+declines any other text, and any text that breaks a bound below.  _Parser
+reads every declined text, and it is the only reader that raises, so every
+error message and position is its own.  Stored artifacts and most catalog
+invariants are printed text; powers and products of parenthesised parts, as
+in G5's and G7's catalog invariants and in typed queries, are read by _Parser.
+
+_Parser makes one flat pass over the tokens of the grammar:
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -34,11 +45,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from math import ceil, comb, log2
+from math import ceil, comb, lcm, log2
 from operator import add
 
-from .cyclo import CycloNum
-from .errors import ExprSyntaxError, UnknownVariable
+from .cyclo import MAX_CONDUCTOR, CycloNum, _canonical, cyclotomic_coeffs
+from .errors import ExprSyntaxError, UnknownVariable, shorten
 from .poly import MPoly
 
 # Largest exponent and total degree accepted.  It equals cyclo.MAX_CONDUCTOR,
@@ -141,7 +152,7 @@ class _Parser:
         result, _ = self.expr()
         token = self.tokens[self.i]
         if token:
-            raise self.error(f"unexpected trailing {token!r}", self.i)
+            raise self.error(f"unexpected trailing {shorten(repr(token))}", self.i)
         return result
 
     def expr(self) -> tuple[MPoly, int]:
@@ -215,7 +226,9 @@ class _Parser:
                 kind = _VAR
                 value = int(token[1:]) - 1
                 if not 0 <= value < self.nvars:
-                    raise self.error(f"variable {token!r} out of range", at, UnknownVariable)
+                    raise self.error(
+                        f"variable {shorten(repr(token))} out of range", at, UnknownVariable
+                    )
                 fdeg, fbits = 1, 0
             elif token == "zeta":
                 kind, value, fdeg, fbits = _ZETA, 1, 0, 0
@@ -232,7 +245,7 @@ class _Parser:
                 self.depth -= 1
                 kind, fdeg = _PART, value.total_degree()
             elif token and token not in _OPERATORS:
-                raise self.error(f"unknown symbol {token!r}", at, UnknownVariable)
+                raise self.error(f"unknown symbol {shorten(repr(token))}", at, UnknownVariable)
             else:
                 raise self.error(f"unexpected token {token!r}", at)
             if tokens[i] == "^":
@@ -303,9 +316,144 @@ class _Parser:
             terms[e] = v if cur is None else cur + v
 
 
+# The printer's language, the text that str(MPoly) and str(CycloNum) write:
+# a flat sum, '-' only before its first term and ' + ' or ' - ' between
+# terms, each term a coefficient and/or a monomial joined by '*'.  A
+# coefficient is q, q/d, q*zeta^k or zeta^k, or a parenthesised sum of
+# those; a monomial is v^e*v^e*..., each ^e optional.  Every digit run is
+# ASCII and at most MAX_DIGITS long, and a monomial has at most MAX_DEGREE
+# factors, so that a long run or product is declined where that bound fails.
+_RUN = f"[0-9]{{1,{MAX_DIGITS}}}"
+_ZETA_POWER = rf"(zeta(?:\^{_RUN})?)"
+_SCALAR = rf"(?:({_RUN})(?:/({_RUN}))?(?:\*{_ZETA_POWER})?|{_ZETA_POWER})"
+_END = r"( \+ | - |\Z)"
+
+
+def _printed_patterns(letter: str) -> tuple[re.Pattern, re.Pattern]:
+    """The patterns of a term and of a piece of a parenthesised coefficient,
+    for variables named by letter.
+
+    A term is its coefficient, monomial and the separator after it, or its
+    '(' and the sign of its first piece.  A piece is its scalar and the
+    separator after it; after the last piece, ')' and the term's monomial
+    and separator.
+    """
+    factor = rf"{letter}{_RUN}(?:\^{_RUN})?"
+    monomial = rf"{factor}(?:\*{factor}){{0,{MAX_DEGREE - 1}}}"
+    term = rf"(?:{_SCALAR}(?:\*({monomial}))?|({monomial})){_END}|\((-?)"
+    piece = rf"{_SCALAR}(?:( \+ | - )|\)(?:\*({monomial}))?{_END})"
+    return re.compile(term), re.compile(piece)
+
+
+_PRINTED = {letter: _printed_patterns(letter) for letter in "xz"}
+
+# A factor of a matched monomial: its variable's index and its exponent, if any.
+_FACTOR = re.compile(r"[xz]([0-9]+)(?:\^([0-9]+))?")
+
+
+def _scalar_numerators(q: int, zeta_power, n: int, phi: int):
+    """The integer numerators of q*zeta^k in Q(zeta_n), of degree phi, for
+    zeta_power the printed 'zeta^k', 'zeta' or None (k = 0); None if k is
+    above MAX_DEGREE.  The printer writes only k < phi, which needs no
+    reduction."""
+    k = 0 if zeta_power is None else 1 if len(zeta_power) == 4 else int(zeta_power[5:])
+    if k < phi:
+        nums = [0] * phi
+        nums[k] = q
+        return nums
+    if k > MAX_DEGREE:
+        return None
+    return [q * c for c in CycloNum.zeta(n, k)._num]
+
+
+def _read_printed(text: str, alphabet: str, nvars: int, n: int) -> MPoly | None:
+    """The MPoly of text if it is in the printer's language and within every
+    bound that _Parser checks, else None, and _Parser reads it.
+
+    One anchored match reads each term, and one each piece of a
+    parenthesised coefficient; one findall reads a monomial's exponents.
+    Each coefficient is built from integers and made canonical once.
+    """
+    patterns = _PRINTED.get(alphabet)
+    if patterns is None or not 1 <= n <= MAX_CONDUCTOR:
+        return None
+    term, piece = patterns
+    phi = len(cyclotomic_coeffs(n)) - 1
+    sign = -1 if text[:1] == "-" else 1
+    pos = int(sign < 0)
+    terms: dict = {}
+    while True:
+        m = term.match(text, pos)
+        if m is None:
+            return None
+        num, den, z1, z2, monomial, bare, end, opening = m.groups()
+        if opening is None:
+            monomial = monomial or bare
+            den = int(den) if den else 1
+            nums = _scalar_numerators(sign * int(num) if num else sign, z1 or z2, n, phi)
+            if not den or nums is None:
+                return None
+            c = _canonical(n, nums, den)
+        else:
+            # a sum of pieces over the lcm of their denominators
+            acc, acc_den = [0] * phi, 1
+            s = -sign if opening else sign
+            while True:
+                m = piece.match(text, m.end())
+                if m is None:
+                    return None
+                num, den, z1, z2, between, monomial, end = m.groups()
+                den = int(den) if den else 1
+                if not den:
+                    return None
+                if acc_den % den:
+                    grow = lcm(acc_den, den) // acc_den
+                    acc = [a * grow for a in acc]
+                    acc_den *= grow
+                q = s * (int(num) if num else 1) * (acc_den // den)
+                nums = _scalar_numerators(q, z1 or z2, n, phi)
+                if nums is None:
+                    return None
+                acc = list(map(add, acc, nums))
+                if between is None:
+                    break
+                s = sign if between == " + " else -sign
+            c = _canonical(n, acc, acc_den)
+            if c.bit_size() > MAX_COEFF_BITS:
+                return None
+        exps = [0] * nvars
+        if monomial:
+            degree = 0
+            for index, e in _FACTOR.findall(monomial):
+                i = int(index) - 1
+                if not 0 <= i < nvars:
+                    return None
+                e = int(e) if e else 1
+                exps[i] += e
+                degree += e
+            if degree > MAX_DEGREE:
+                return None
+        if c:
+            key = tuple(exps)
+            cur = terms.get(key)
+            terms[key] = c if cur is None else cur + c
+        if not end:
+            break
+        sign = 1 if end == " + " else -1
+        pos = m.end()
+    result = MPoly(alphabet, nvars, n, terms)
+    if max(map(CycloNum.bit_size, result.terms.values()), default=0) > MAX_COEFF_BITS:
+        return None
+    return result
+
+
 def parse_expr(text: str, alphabet: str = "x", nvars: int = 2, conductor: int = 12) -> MPoly:
-    """Parse an expression into a canonical MPoly."""
-    return _Parser(text, alphabet, nvars, conductor).parse()
+    """Parse an expression into a canonical MPoly: by _read_printed if the
+    text is in the printer's language, else by _Parser."""
+    result = _read_printed(text, alphabet, nvars, conductor)
+    if result is None:
+        result = _Parser(text, alphabet, nvars, conductor).parse()
+    return result
 
 
 def parse_scalar(text: str, conductor: int = 12) -> CycloNum:

@@ -27,7 +27,7 @@ from .cyclo import (
     signed_sum,
     sum_of_products,
 )
-from .errors import ConductorMismatch, NotDivisible, NonHomogeneousInput
+from .errors import ConductorMismatch, NotDivisible, NonHomogeneousInput, shorten
 from .linalg import mat_inverse
 
 
@@ -609,5 +609,5 @@ def top_reduce(p: MPoly, basis: dict) -> MPoly:
 
 def require_homogeneous(f: MPoly) -> int:
     if not f.is_homogeneous():
-        raise NonHomogeneousInput(f"polynomial is not homogeneous: {f}")
+        raise NonHomogeneousInput(f"polynomial is not homogeneous: {shorten(str(f))}")
     return f.total_degree()

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .connection import ConnectionSystem
 from .cyclo import MAX_RANK, CycloNum, signed_sum, zeta_power
-from .errors import DenominatorMismatch, InvalidSpec, NotDivisible
-from .groups import describe, is_matrix, is_positive_int, require_name
+from .errors import DenominatorMismatch, InvalidSpec, NotDivisible, describe
+from .groups import is_matrix, is_positive_int, require_name
 from .invariants import InvariantTuple
 from .parsing import parse_expr
 from .poly import MPoly, RatFun

@@ -17,6 +17,8 @@ from reflconn.parsing import (
     MAX_DIGITS,
     MAX_NESTING,
     MAX_TERMS,
+    _Parser,
+    _read_printed,
     parse_expr,
     parse_scalar,
 )
@@ -161,7 +163,20 @@ ERROR_TABLE = {
     "empty_text": ("", 2, ExprSyntaxError, "unexpected token ''", 0),
     "unexpected_trailing": ("x1^2^3", 2, ExprSyntaxError, "unexpected trailing '^'", 4),
     "trailing_factor": ("x1 x2", 2, ExprSyntaxError, "unexpected trailing 'x2'", 3),
+    # texts next to the printer's language, which the printed-form reader leaves
+    # to the parser: a leading '+', factors with no '*', empty parentheses and a
+    # variable inside a parenthesised coefficient
+    "leading_plus": ("+x1", 2, ExprSyntaxError, "unexpected token '+'", 0),
+    "juxtaposed_variables": ("x1x2", 2, ExprSyntaxError, "unexpected trailing 'x2'", 2),
+    "juxtaposed_number": ("2x1", 2, ExprSyntaxError, "unexpected trailing 'x1'", 1),
+    "empty_parentheses": ("()", 2, ExprSyntaxError, "unexpected token ')'", 1),
+    "variable_zero_in_part": ("(x0)", 2, UnknownVariable, "variable 'x0' out of range", 1),
     "unknown_symbol": ("x1 + y2", 2, UnknownVariable, "unknown symbol 'y2'", 5),
+    # a token of more than 60 characters is quoted by its first 57 and '...'
+    "long_unknown_symbol": (
+        "y" * 100_000, 2, UnknownVariable, f"unknown symbol '{'y' * 56}...", 0,
+    ),
+    "long_trailing": ("x1 " + "y" * 61, 2, ExprSyntaxError, f"unexpected trailing '{'y' * 56}...", 3),
     "unknown_name": ("2*zeta3", 2, UnknownVariable, "unknown symbol 'zeta3'", 2),
     "variable_out_of_range": ("x1*x3", 2, UnknownVariable, "variable 'x3' out of range", 3),
     "variable_zero": ("x0", 2, UnknownVariable, "variable 'x0' out of range", 0),
@@ -406,6 +421,30 @@ class TestFlatSums:
         assert f.coefficient((0, 100, 0)) == 101
         assert not calls
 
+    def test_megabyte_texts_are_read_or_rejected_quickly(self):
+        # about 1 MB each: a run of digits and a long product, which the
+        # printed-form reader declines at the first bound that fails, before
+        # _Parser raises, and a flat sum of 39,858 printed terms, which it reads
+        terms = [f"{i + j + 1}*x1^{300 - i - j}*x2^{i}*x3^{j}"
+                 for i in range(301) for j in range(301 - i)]
+        flat = " + ".join(terms)[:10**6]
+        flat = flat[: flat.rfind(" + ")]
+        declined = (
+            ("7" * 10**6, f"more than {MAX_DIGITS} digits", 0, 0.2),
+            ("x1*" * (10**6 // 3), f"total degree above {MAX_DEGREE}", 3000, 0.5),
+        )
+        for text, message, position, bound in declined:
+            start = time.perf_counter()
+            assert _read_printed(text, "x", 3, 12) is None
+            assert time.perf_counter() - start < 0.02
+            with pytest.raises(ExprSyntaxError, match=message) as exc:
+                px(text, nvars=3)
+            assert time.perf_counter() - start < bound
+            assert exc.value.position == position
+        start = time.perf_counter()
+        assert len(px(flat, nvars=3).terms) == 39858
+        assert time.perf_counter() - start < 1.0
+
 
 @st.composite
 def sparse_polys(draw, alphabet=None, conductor=None, nvars=None, max_terms=6):
@@ -432,11 +471,21 @@ def _parse_like(text, p):
     return parse_expr(text, p.alphabet, p.nvars, p.conductor)
 
 
+def _unreachable(parser):
+    raise AssertionError(f"_Parser read {parser.text!r}")
+
+
 class TestParsedArithmetic:
     @settings(max_examples=100, deadline=None)
     @given(sparse_polys())
     def test_print_parse_round_trip(self, p):
-        assert _parse_like(str(p), p) == p
+        # the printed-form reader reads every printed polynomial and
+        # coefficient: none of them reaches _Parser
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Parser, "parse", _unreachable)
+            assert _parse_like(str(p), p) == p
+            for c in p.terms.values():
+                assert parse_scalar(str(c), p.conductor) == c
 
     @settings(max_examples=50, deadline=None)
     @given(poly_pairs(), st.integers(0, 4))
@@ -458,16 +507,29 @@ class TestParsedArithmetic:
         assert _parse_like(f"-2*{v}^2*({a})*zeta^5*3/7*({b})*{v}", a) == expected
 
 
-FUZZ_TOKENS = ["x1", "x2", "zeta", "(", ")", "+", "-", "*", "/", "^", " "]
+# x3 is out of range at nvars 2, z1 of the wrong alphabet; " + " and " - "
+# are the printer's separators, so that some texts are in its language
+FUZZ_TOKENS = ["x1", "x2", "x3", "z1", "zeta", "zeta^2", "(", ")", "+", "-", "*", "/", "/0",
+               "^", " ", " + ", " - ", "1" * (MAX_DIGITS + 1), "\u0663"]
 FUZZ_TOKENS += list("0123456789")
+
+
+def _outcome(parse, text):
+    """The MPoly that parse gives for text, or the class, message and
+    position of the package error it raises."""
+    try:
+        result = parse(text)
+    except ReflconnError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    assert isinstance(result, MPoly)
+    return result
 
 
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map("".join))
     def test_parse_returns_a_polynomial_or_a_package_error(self, text):
-        try:
-            result = px(text)
-        except ReflconnError:
-            return
-        assert isinstance(result, MPoly)
+        # parse_expr, through the printed-form reader or not, does what
+        # _Parser alone does: the same polynomial or the same error
+        alone = _outcome(lambda t: _Parser(t, "x", 2, 12).parse(), text)
+        assert _outcome(px, text) == alone

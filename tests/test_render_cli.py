@@ -608,6 +608,19 @@ class TestInputBoundary:
             assert "(list)" in proc.stderr
             assert len(proc.stderr.encode()) < 300
 
+    @pytest.mark.parametrize("expr, quoted", [
+        # within every parser bound, but not homogeneous: 2,016 terms
+        ("(x1+x2+1)^61", "polynomial is not homogeneous: x1^61 + 61*x1^60*x2"),
+        ("y" * 100_000, "unknown symbol 'yyy"),
+    ])
+    def test_long_rejected_expression_gives_a_short_error(self, expr, quoted):
+        # the error quotes a bounded prefix of the polynomial or the token
+        proc = _run_cli("rewrite", expr, "--group", "G(2,1,2)")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert quoted in proc.stderr
+        assert len(proc.stderr.encode()) < 300
+
     @pytest.mark.parametrize("length", [MAX_NAME, MAX_NAME + 1])
     def test_names_of_bounded_length(self, length, tmp_path, capsys):
         code = 0 if length <= MAX_NAME else 2
