@@ -34,13 +34,14 @@ class GroupData:
     element i, both filled in by close_group.  reflection_indices and
     det_char_order are filled in by validate_reflection_group.
 
-    Two things are made on first use and kept, so that no element is
+    Three things are made on first use and kept, so that no element is
     inverted twice and no coset is looked up twice: actions holds the n
     linear images of x1..xn under each acting element (linear_images),
     the size of the element table itself, and never their powers, which
     live in the PowerTable that action makes afresh over them;
     diagonal_cosets holds the diagonal subgroup H and the index of one
-    representative per left coset tH.
+    representative per left coset tH; diagonal_exponents holds each
+    diagonal of H as integer exponents of one root of unity.
     """
 
     rank: int
@@ -101,6 +102,25 @@ class GroupData:
                 coset_element = tuple(tuple(e * s for e, s in zip(row, h)) for row in t)
                 covered[self.element_index[coset_element]] = True
         return diagonals, tuple(representatives)
+
+    @cached_property
+    def diagonal_exponents(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(M, K), made on first use: M = lcm(2, N) and, for each diagonal
+        of diagonal_cosets in its order, the exponents (k_1, ..., k_n) with
+        h_jj = w^(k_j), where w is zeta_N for an even conductor N and
+        -zeta_N for an odd one.
+
+        The roots of unity in Q(zeta_N) form the cyclic group of order M
+        that w generates, and each h_jj is one, so x^a is fixed by h iff
+        sum_j k_j * a_j is divisible by M.
+        """
+        n = self.conductor
+        w = CycloNum.zeta(n) * (-1 if n % 2 else 1)
+        log, power = {}, CycloNum.one(n)
+        for k in range(lcm(2, n)):
+            log[power] = k
+            power = power * w
+        return len(log), tuple(tuple(log[s] for s in h) for h in self.diagonal_cosets[0])
 
     def index_of(self, matrix: Matrix) -> int:
         try:

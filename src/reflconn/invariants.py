@@ -6,7 +6,10 @@ Both derivations read what the group keeps: the degrees count the fixed
 space dimensions that close_group records for each element, and the
 Reynolds operator averages over the cosets of the diagonal subgroup
 (GroupData.diagonal_cosets), acting through the kept images of one
-representative per coset (GroupData.action).
+representative per coset (GroupData.action).  It keeps the terms that the
+diagonal subgroup fixes by a test on integer exponents
+(GroupData.diagonal_exponents) and substitutes them through every
+representative in one orbit sum, one accumulation for all the images.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 
 from .cyclo import CycloNum
 from .errors import (
@@ -24,6 +28,7 @@ from .errors import (
     InvalidSpec,
     NonHomogeneousInput,
     UnknownGroup,
+    shorten,
 )
 from .groups import GroupData, group_from_spec
 from .linalg import det as mat_det
@@ -57,33 +62,38 @@ def reynolds(f: MPoly, group: GroupData) -> MPoly:
     diagonal h scales x^a by prod_j h_jj^(-a_j), so sum_h h.x^a is x^a
     times sum_h prod_j h_jj^(a_j) (h -> h^-1 permutes H), a character sum
     that is |H| when every product is 1 and 0 otherwise.  The terms of f
-    that H fixes are therefore substituted through the kept actions of the
-    representatives t alone, and averaged over their number, |G|/|H|; when
-    H fixes no term the average is zero and nothing is substituted.
+    that H fixes (diagonal_fixed_part) are therefore substituted through
+    the kept actions of the representatives t alone, and averaged over
+    their number, |G|/|H|; when H fixes no term the average is zero and
+    nothing is substituted.
 
-    The cost is that of the substitutions: for each representative, one
-    fresh table over its linear images, in which each power l_j^e that a
-    fixed term needs is expanded once by the multinomial theorem, with no
-    lower power built, and one sum of products of those powers per term.
+    The cost is that of one orbit sum: one substitute_linear over a fresh
+    table per representative, in which each power l_j^e that a fixed term
+    needs is expanded once by the multinomial theorem, with no lower power
+    built.  The images of every term through every table are summed in one
+    accumulation, each output coefficient made canonical once, and scaled
+    by |H|/|G| once at the end.
     """
-    diagonals, representatives = group.diagonal_cosets
-    one = CycloNum.one(f.conductor)
-
-    def fixed_by_diagonal(exps):
-        return all(
-            math.prod((s ** e for s, e in zip(h, exps) if e), start=one) == one
-            for h in diagonals
-        )
-
-    fixed = MPoly(f.alphabet, f.nvars, f.conductor, {
-        e: c for e, c in f.terms.items() if fixed_by_diagonal(e)
-    })
+    fixed = diagonal_fixed_part(f, group)
     if not fixed:
         return fixed
-    weight = CycloNum.from_rational(Fraction(1, len(representatives)), f.conductor)
-    return MPoly.sum_of_products(
-        (1, weight, fixed.substitute_linear(group.action(t))) for t in representatives
-    )
+    representatives = group.diagonal_cosets[1]
+    orbit_sum = fixed.substitute_linear([group.action(t) for t in representatives])
+    return orbit_sum * Fraction(1, len(representatives))
+
+
+def diagonal_fixed_part(f: MPoly, group: GroupData) -> MPoly:
+    """The terms of f that every diagonal element h of the group fixes.
+
+    With h_jj = w^(k_j) for the root of unity w of order M
+    (GroupData.diagonal_exponents), h fixes x^a iff M divides
+    sum_j k_j * a_j, a test on integers alone.
+    """
+    order, exponents = group.diagonal_exponents
+    return MPoly(f.alphabet, f.nvars, f.conductor, {
+        e: c for e, c in f.terms.items()
+        if all(not sum(map(mul, k, e)) % order for k in exponents)
+    })
 
 
 def is_invariant(f: MPoly, group: GroupData, tables=None) -> bool:
@@ -215,7 +225,7 @@ def load_catalog_spec(name: str) -> dict:
     try:
         fname = _CATALOG_FILES[name]
     except KeyError:
-        raise UnknownGroup(f"no catalog entry named {name!r}") from None
+        raise UnknownGroup(f"no catalog entry named {shorten(repr(name))}") from None
     data = resources.files("reflconn.data").joinpath(fname).read_text()
     return json.loads(data)
 

@@ -340,38 +340,56 @@ class MPoly:
     def compose(self, args) -> "MPoly":
         """Substitute args[i] for the i-th variable.
 
-        args is a list of polynomials, or a PowerTable over one whose powers
-        every composition through it shares; a list gets a fresh table.  The
-        result lives in the args' variable space; args must be mutually
-        compatible and there must be one per variable.  The terms' images
-        are summed in one accumulation (sum_of_products).
+        args is a list of polynomials, a PowerTable over one whose powers
+        every composition through it shares, or a nonempty sequence of
+        PowerTables, which gives the sum of the compositions through each;
+        a list gets a fresh table.  The result lives in the args' variable
+        space; args must be mutually compatible and there must be one per
+        variable.  The images of every term, through every table, are
+        summed in one accumulation (sum_of_products), which makes each
+        output coefficient canonical once.
         """
-        table = args if isinstance(args, PowerTable) else PowerTable(args)
-        if len(table.args) != self.nvars:
+        if isinstance(args, PowerTable):
+            tables = (args,)
+        elif args and isinstance(args[0], PowerTable):
+            tables = tuple(args)
+        else:
+            tables = (PowerTable(args),)
+        if any(len(table.args) != self.nvars for table in tables):
             raise ValueError("need one substitution polynomial per variable")
-        one = table.one
         if not self.terms:
-            return one._like({})
-        power = table.power
-        # one triple per term: the coefficient times all powers but the
-        # last, by the last
-        triples = []
+            return tables[0].one._like({})
+        return MPoly.sum_of_products(
+            triple for table in tables for triple in self._image_triples(table)
+        )
+
+    def _image_triples(self, table: "PowerTable"):
+        """One triple (1, left, last) per term c*x^a, whose product is the
+        term's image through table: last is the last power l_j^(a_j) it
+        needs, left the coefficient times the others.  A coefficient of 1
+        multiplies nothing."""
+        one, power = table.one, table.power
+        unit = CycloNum.one(self.conductor)
         for exps, coeff in self.terms.items():
             *head, last = [power(i, e) for i, e in enumerate(exps) if e] or [one]
             left = coeff
+            if head and coeff == unit:
+                left, *head = head
             for p in head:
                 left = p * left
-            triples.append((1, left, last))
-        return MPoly.sum_of_products(triples)
+            yield 1, left, last
 
     def substitute_linear(self, action) -> "MPoly":
         """Apply the group action f(x) -> f(x * M^{-T}) for an invertible M.
 
-        action is M itself, or a PowerTable over the action's images
-        (GroupData.action) that several polynomials share.  Given M, the
-        images are made afresh (linear_images) in this polynomial's space.
+        action is M itself, a PowerTable over the action's images
+        (GroupData.action) that several polynomials share, or a nonempty
+        sequence of such tables, one per element t, which gives the orbit
+        sum of the f(x * M_t^{-T}) in one accumulation (compose).  Given M,
+        the images are made afresh (linear_images) in this polynomial's
+        space.
         """
-        if not isinstance(action, PowerTable):
+        if not (isinstance(action, PowerTable) or isinstance(action[0], PowerTable)):
             action = linear_images(action, self.alphabet, self.conductor)
         return self.compose(action)
 

@@ -165,6 +165,64 @@ class TestKeptActions:
         assert shortcuts(sheared.generators()[1]) == (False, False)
 
 
+class TestOrbitSum:
+    """substitute_linear over a sequence of tables is the sum of the
+    substitutions through each, made in one accumulation."""
+
+    @staticmethod
+    def mixed(group):
+        """Terms with coefficient 1 and others, of zero to n variables."""
+        n, conductor = group.rank, group.conductor
+        one = CycloNum.one(conductor)
+        return MPoly("x", n, conductor, {
+            (0,) * n: one,
+            (3,) + (0,) * (n - 1): one,
+            (1,) * n: one,
+            (2,) * n: CycloNum.zeta(conductor) + 3,
+            (0,) * (n - 1) + (2,): CycloNum.from_rational(Fraction(-5, 2), conductor),
+        })
+
+    @staticmethod
+    def by_products(f, images):
+        """f with images[j] for x_j, by products and powers alone."""
+        total = MPoly.zero(f.alphabet, f.nvars, f.conductor)
+        for exps, c in f.terms.items():
+            term = MPoly.constant(c, f.alphabet, f.nvars, f.conductor)
+            for image, e in zip(images, exps):
+                term = term * image ** e
+            total = total + term
+        return total
+
+    @pytest.mark.parametrize("label", GROUPS)
+    def test_equals_the_sum_of_the_substitutions(self, label):
+        group = action_group(label)
+        indices = sample(group)
+        f = self.mixed(group)
+        images = [self.by_products(f, group.action(i).args) for i in indices]
+        total = MPoly.zero("x", group.rank, group.conductor)
+        for i, image in zip(indices, images):
+            assert f.substitute_linear(group.elements[i]) == image
+            total = total + image
+        tables = [group.action(i) for i in indices]
+        assert f.substitute_linear(tables) == f.compose(tables) == total
+        # the tables' powers, now built, are shared with a second orbit sum
+        assert f.substitute_linear(tables) == total
+
+    @pytest.mark.parametrize("label", GROUPS)
+    def test_an_orbit_of_one_table(self, label):
+        group = action_group(label)
+        f = self.mixed(group)
+        for i in sample(group):
+            table = group.action(i)
+            assert f.substitute_linear([table]) == self.by_products(f, table.args)
+
+    def test_the_zero_polynomial(self):
+        group = action_group("G(3,3,3)")
+        zero = MPoly.zero("x", group.rank, group.conductor)
+        image = zero.substitute_linear([group.action(i) for i in sample(group)])
+        assert image.is_zero() and image == zero
+
+
 class TestEachElementInvertedOnce:
     def test_inverse_count_on_g4(self, monkeypatch):
         calls = []

@@ -2,6 +2,7 @@
 degrees and the Molien series, fundamental invariants, the catalog."""
 
 import functools
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,6 +171,23 @@ class TestReynoldsOverCosets:
         images = {len(f.terms) for t in group.diagonal_cosets[1] for f in group.action(t).args}
         assert images == {1, 2, 3}
 
+    @pytest.mark.parametrize("label", ["G4", "G(3,3,3)", "b3_root_basis.json"])
+    def test_one_substitution_per_call(self, label, monkeypatch):
+        # the fixed part goes through every representative's table in one
+        # substitute_linear, and so one compose
+        group = suite_group(label)
+        f = MPoly("x", group.rank, group.conductor,
+                  {e: CycloNum.one(group.conductor) for e in first_monomials(6, group.rank)})
+        expected = reynolds(f, group)
+        calls = {"substitute_linear": [], "compose": []}
+        for name, record in calls.items():
+            original = getattr(MPoly, name)
+            monkeypatch.setattr(MPoly, name, lambda p, a, o=original, r=record: r.append(a) or o(p, a))
+        assert reynolds(f, group) == expected and expected
+        (tables,) = calls["substitute_linear"]
+        assert len(tables) == len(group.diagonal_cosets[1])
+        assert calls["compose"] == [tables]
+
     def test_a_zero_image_substitutes_nothing(self, monkeypatch):
         group, _ = catalog("G4")
         calls = []
@@ -178,6 +196,57 @@ class TestReynoldsOverCosets:
         )
         assert reynolds(px("x1^5 + x1^3*x2^2"), group).is_zero()
         assert calls == []
+
+
+class TestDiagonalExponents:
+    """The test on integer exponents by which reynolds keeps the terms that
+    the diagonal subgroup fixes, against the product of CycloNum powers."""
+
+    @pytest.mark.parametrize("label", COSET_GROUPS)
+    def test_agrees_with_the_cyclonum_product(self, label):
+        group = suite_group(label)
+        n, conductor = group.rank, group.conductor
+        one = CycloNum.one(conductor)
+        top = 2 * max(invariant_degrees(group))
+        monomials = [e for d in range(top + 1) for e in weighted_exponents(d, (1,) * n)]
+
+        @functools.lru_cache(maxsize=None)
+        def powers(s):
+            row = [one]
+            for _ in range(top):
+                row.append(row[-1] * s)
+            return row
+
+        @functools.lru_cache(maxsize=None)
+        def times(a, b):
+            return a * b
+
+        def fixed_by(h, exps):
+            product = one
+            for s, e in zip(h, exps):
+                product = times(product, powers(s)[e])
+            return product == one
+
+        diagonals = group.diagonal_cosets[0]
+        expected = {e for e in monomials if all(fixed_by(h, e) for h in diagonals)}
+        f = MPoly("x", n, conductor, {e: one for e in monomials})
+        assert set(invariants.diagonal_fixed_part(f, group).terms) == expected
+        assert (0,) * n in expected
+
+    @pytest.mark.parametrize("label, order, exponents", [
+        # N = 5 is odd: -1 = zeta_10^5 is no power of zeta_5, so w = -zeta_5
+        ("g2_1_2_zeta5.json", 10, {(0, 0), (5, 0), (0, 5), (5, 5)}),
+        ("cyclic70.json", 70, {(k,) for k in range(70)}),
+        ("G(2,1,3)", 2, set(itertools.product((0, 1), repeat=3))),  # conductor 1: w = -1
+    ])
+    def test_exponents_of_one_root_of_unity(self, label, order, exponents):
+        group = suite_group(label)
+        assert group.diagonal_exponents[0] == order
+        assert set(group.diagonal_exponents[1]) == exponents
+        w = CycloNum.zeta(group.conductor) * (-1 if group.conductor % 2 else 1)
+        for h, ks in zip(group.diagonal_cosets[0], group.diagonal_exponents[1]):
+            assert all(s == w ** k for s, k in zip(h, ks))
+        assert group.diagonal_exponents is group.diagonal_exponents  # kept
 
 
 class TestMolien:

@@ -621,6 +621,17 @@ class TestInputBoundary:
         assert quoted in proc.stderr
         assert len(proc.stderr.encode()) < 300
 
+    @pytest.mark.parametrize("command", [
+        ["invariants"], ["compute"], ["rewrite", "x1^2 + x2^2"],
+    ])
+    def test_long_unknown_group_gives_a_short_error(self, command):
+        # the error quotes a bounded prefix of the --group value
+        proc = _run_cli(*command, "--group", "G" * 100_000)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "no catalog entry named 'GGG" in proc.stderr
+        assert len(proc.stderr.encode()) < 300
+
     @pytest.mark.parametrize("length", [MAX_NAME, MAX_NAME + 1])
     def test_names_of_bounded_length(self, length, tmp_path, capsys):
         code = 0 if length <= MAX_NAME else 2
