@@ -17,7 +17,7 @@ def main():
     group, inv = catalog_lookup("G(2,1,2)")
     rewriter = Rewriter(inv)
     print(f"invariant degrees: {inv.degrees}")
-    print(f"exponent set for degree 8: {exponent_set(8, inv.degrees).members}")
+    print(f"exponent set for degree 8: {exponent_set(8, inv.degrees)}")
     print()
 
     examples = [

@@ -28,16 +28,14 @@ The text is split by one findall into plain token strings, with no match
 object or position kept per token.  One search for a character outside the
 grammar and the length of the longest token stand in for the character and
 digit-run checks; the offending token is located only when one of them
-fires.  The parser walks the token list by index: expr reads the terms of a
-sum, and term reads each factor in place, a number with its '/den', a
-variable, zeta or a parenthesised part (the one recursion, into expr), then
-its '^' exponent.  A token's position in the text is found only when an
-error is raised, by scanning the text again for the start of that token.
-
-A term is built as one coefficient and one exponent vector: numbers, zeta
-and variables only multiply the one and add to the other, and only a
-parenthesised factor is multiplied as an MPoly.  Every bound is checked as
-if each factor were an MPoly, at the same token.
+fires.  The parser walks the token list by index, one method per rule:
+expr adds up the terms of a sum, term multiplies its factors, factor raises
+its base to its '^' exponent, and base reads a number with its '/den',
+zeta, a variable or a parenthesised part (the one recursion, into expr),
+each as an MPoly.  Every bound is checked on the polynomials themselves,
+before the power or product that it bounds is expanded.  A token's
+position in the text is found only when an error is raised, by scanning the
+text again for the start of that token.
 """
 
 from __future__ import annotations
@@ -65,8 +63,8 @@ MAX_DEGREE = 1000
 # queries are flat sums, whose products all have a one-term factor.
 MAX_TERMS = 2000
 
-# Deepest nesting of parentheses: each level is two frames, expr and term,
-# so this stays well inside Python's default recursion limit.
+# Deepest nesting of parentheses: each level is four frames, expr, term,
+# factor and base, so this stays well inside Python's default recursion limit.
 MAX_NESTING = 100
 
 # Longest run of digits in a number or a variable index, below the 4300
@@ -74,14 +72,11 @@ MAX_NESTING = 100
 MAX_DIGITS = 1000
 
 # Bit length of a MAX_DIGITS-digit integer: the bound on each numerator and
-# denominator of the coefficients of every sum, parenthesised or not, checked
-# once the sum is built.  A power of a number or of a parenthesised part is
-# checked before it is expanded, by the exponent times the bits of its base,
-# so that it never builds a huge one.  Within a term, a product is measured
-# once the bits of its factors add up past the bound, a variable or zeta
-# counting none, so that a long product of big numbers stops at the factor
-# that crosses it.  Measuring every product instead cost about 5% of
-# query_stream in perfbench, whose artifacts are sums of monomials.
+# denominator of the coefficients of every sum, parenthesised or not, and of
+# every product, checked once it is built, so that a long product of big
+# numbers stops at the factor that crosses it.  A power is checked before it
+# is expanded, by the exponent times the bits of its base, so that it never
+# builds a huge one.
 MAX_COEFF_BITS = ceil(MAX_DIGITS * log2(10))
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z]\d+|[A-Za-z_]+\d*|[-+*/^()]|\S)")
@@ -94,12 +89,6 @@ _DIGIT_RUN = re.compile(r"\d*\Z")
 
 # The one-character tokens; every other token is a number, a variable or a name.
 _OPERATORS = frozenset("+-*/^()")
-
-# The kinds of factor that _Parser.term reads, with the value each carries.
-_NUMBER = 0  # an int or Fraction
-_ZETA = 1  # the exponent of zeta
-_VAR = 2  # the 0-based index of the variable; its exponent is the degree
-_PART = 3  # the MPoly of a parenthesised part
 
 
 def _split(text: str) -> list[str]:
@@ -120,12 +109,9 @@ def _split(text: str) -> list[str]:
     return tokens
 
 
-def _coefficient(q, zk: int, n: int) -> CycloNum:
-    """q * zeta^zk in Q(zeta_n)."""
-    if zk % n == 0:
-        return CycloNum.from_rational(q, n)
-    z = CycloNum.zeta(n, zk)
-    return z if q == 1 else z * q
+def _bits(p: MPoly) -> int:
+    """The largest bit size of a coefficient of p; 0 for p = 0."""
+    return max(map(CycloNum.bit_size, p.terms.values()), default=0)
 
 
 class _Parser:
@@ -149,171 +135,115 @@ class _Parser:
             raise self.error(f"coefficient of more than {MAX_DIGITS} digits", k)
 
     def parse(self) -> MPoly:
-        result, _ = self.expr()
+        result = self.expr()
         token = self.tokens[self.i]
         if token:
             raise self.error(f"unexpected trailing {shorten(repr(token))}", self.i)
         return result
 
-    def expr(self) -> tuple[MPoly, int]:
-        """The sum, and the bits of its coefficients, checked here.  The
-        terms are added up in one dict, so a flat sum takes linear time."""
+    def expr(self) -> MPoly:
+        """The sum, its coefficient bits checked at its start.  The terms
+        are added up in one dict, so a flat sum takes linear time."""
         tokens = self.tokens
         start = self.i
-        q = 1
-        if tokens[start] == "-":
+        negate = tokens[start] == "-"
+        if negate:
             self.i += 1
-            q = -1
         terms: dict = {}
         while True:
-            self.term(q, terms)
+            for e, v in self.term().terms.items():
+                if negate:
+                    v = -v
+                cur = terms.get(e)
+                terms[e] = v if cur is None else cur + v
             sign = tokens[self.i]
-            if sign == "+":
-                q = 1
-            elif sign == "-":
-                q = -1
-            else:
+            if sign != "+" and sign != "-":
                 break
+            negate = sign == "-"
             self.i += 1
         acc = MPoly(self.alphabet, self.nvars, self.conductor, terms)
-        bits = max(map(CycloNum.bit_size, acc.terms.values()), default=0)
-        self.check_bits(bits, start)
-        return acc, bits
+        self.check_bits(_bits(acc), start)
+        return acc
 
-    def term(self, q, terms: dict) -> None:
-        """Add q times one product to terms, a dict of exponent tuples to
-        coefficients.
+    def term(self) -> MPoly:
+        """The product of the factors.  Its total degree, which a zero
+        factor makes -1, and its number of terms are checked before each
+        product, and its coefficient bits after it, at the factor."""
+        product = self.factor()
+        while self.tokens[self.i] == "*":
+            self.i += 1
+            at = self.i
+            factor = self.factor()
+            if product.total_degree() + factor.total_degree() > MAX_DEGREE:
+                raise self.error(f"total degree above {MAX_DEGREE}", at)
+            if len(product.terms) * len(factor.terms) > MAX_TERMS:
+                raise self.error(f"product of more than {MAX_TERMS} terms", at)
+            product = product * factor
+            self.check_bits(_bits(product), at)
+        return product
 
-        The product is held as a rational q, an exponent of zeta, an
-        exponent vector and the MPoly product of its parenthesised factors,
-        if any.  A factor's bits are those of its coefficients, none for a
-        variable or zeta, whose powers have coefficients of a few bits.
-        Each factor after the first is checked as the MPoly product would
-        be: its total degree, which a zero factor makes -1, and its terms,
-        at the factor; its coefficient bits once the factors' bits add up
-        past the bound, measured on the product itself.
-        """
+    def factor(self) -> MPoly:
+        """The base to its '^' exponent, if any.  The exponent, the total
+        degree, the number of terms and the exponent times the bits of the
+        base are checked at the exponent, before the power is expanded."""
+        base = self.base()
+        if self.tokens[self.i] != "^":
+            return base
+        k = self.i + 1
+        token = self.tokens[k]
+        if not token.isdecimal():
+            raise self.error("expected integer exponent", k)
+        exponent = int(token)
+        if exponent > MAX_DEGREE or base.total_degree() * exponent > MAX_DEGREE:
+            raise self.error(f"exponent or total degree above {MAX_DEGREE}", k)
+        if comb(max(len(base.terms), 1) + exponent - 1, exponent) > MAX_TERMS:
+            raise self.error(f"power of more than {MAX_TERMS} terms", k)
+        self.check_bits(exponent * _bits(base), k)
+        self.i = k + 1
+        return base ** exponent
+
+    def base(self) -> MPoly:
+        """A number with its '/den', zeta, a variable or a parenthesised
+        part, as an MPoly."""
         tokens = self.tokens
-        alphabet = self.alphabet
-        n = self.conductor
-        i = self.i
-        exps = [0] * self.nvars
-        zk = 0
-        part = None
-        degree = bits = 0
-        first = True
-        while True:
-            at = i  # the factor's first token, where its product checks stand
-            token = tokens[i]
-            i += 1
-            if token.isdecimal():
-                kind = _NUMBER
-                value = int(token)
-                if tokens[i] == "/":
-                    i += 1
-                    if not tokens[i].isdecimal():
-                        raise self.error("expected denominator", i)
-                    den = int(tokens[i])
-                    if not den:
-                        raise self.error("zero denominator", i)
-                    i += 1
-                    value = Fraction(value, den)
-                    fbits = max(value.numerator.bit_length(), value.denominator.bit_length())
-                else:
-                    fbits = value.bit_length()
-                fdeg = 0 if value else -1
-            elif token[:1] == alphabet and token[1:2].isdecimal():
-                kind = _VAR
-                value = int(token[1:]) - 1
-                if not 0 <= value < self.nvars:
-                    raise self.error(
-                        f"variable {shorten(repr(token))} out of range", at, UnknownVariable
-                    )
-                fdeg, fbits = 1, 0
-            elif token == "zeta":
-                kind, value, fdeg, fbits = _ZETA, 1, 0, 0
-            elif token == "(":
-                if self.depth == MAX_NESTING:
-                    raise self.error(f"parentheses nested deeper than {MAX_NESTING}", at)
-                self.depth += 1
-                self.i = i
-                value, fbits = self.expr()
-                i = self.i
-                if tokens[i] != ")":
-                    raise self.error("expected ')'", i)
-                i += 1
-                self.depth -= 1
-                kind, fdeg = _PART, value.total_degree()
-            elif token and token not in _OPERATORS:
-                raise self.error(f"unknown symbol {shorten(repr(token))}", at, UnknownVariable)
-            else:
-                raise self.error(f"unexpected token {token!r}", at)
-            if tokens[i] == "^":
-                i += 1
-                token = tokens[i]
-                if not token.isdecimal():
-                    raise self.error("expected integer exponent", i)
-                exponent = int(token)
-                if exponent > MAX_DEGREE or fdeg * exponent > MAX_DEGREE:
-                    raise self.error(f"exponent or total degree above {MAX_DEGREE}", i)
-                if kind == _PART and comb(max(len(value.terms), 1) + exponent - 1, exponent) > MAX_TERMS:
-                    raise self.error(f"power of more than {MAX_TERMS} terms", i)
-                fbits *= exponent
-                self.check_bits(fbits, i)
-                i += 1
-                if kind == _ZETA:
-                    value *= exponent
-                elif kind != _VAR:
-                    value **= exponent
-                fdeg = fdeg * exponent if fdeg >= 0 else -1 if exponent else 0
-            if not first:
-                if degree + fdeg > MAX_DEGREE:
-                    raise self.error(f"total degree above {MAX_DEGREE}", at)
-                if kind == _PART or part is not None:
-                    count = 0 if degree < 0 else 1 if part is None else len(part.terms)
-                    fcount = 0 if fdeg < 0 else len(value.terms) if kind == _PART else 1
-                    if count * fcount > MAX_TERMS:
-                        raise self.error(f"product of more than {MAX_TERMS} terms", at)
-            first = False
-            degree = -1 if degree < 0 or fdeg < 0 else degree + fdeg
-            if kind == _NUMBER:
-                q *= value
-            elif kind == _VAR:
-                exps[value] += fdeg
-            elif kind == _ZETA:
-                zk += value
-            elif degree >= 0:
-                part = value if part is None else part * value
-            # a product's bits stay near the sum of its factors' bits:
-            # measure the product only once that sum passes the bound
-            bits += fbits
-            if bits > MAX_COEFF_BITS:
-                bits = 0
-                if degree >= 0:
-                    c = _coefficient(q, zk, n)
-                    bits = c.bit_size() if part is None else max(
-                        (c * v).bit_size() for v in part.terms.values()
-                    )
-                self.check_bits(bits, at)
-            if tokens[i] != "*":
-                break
-            i += 1
-        self.i = i
-        if degree < 0:
-            return
-        c = _coefficient(q, zk, n)
-        if part is None:
-            products = ((tuple(exps), c),)
-        else:
-            scale = q != 1 or zk % n
-            shift = any(exps)
-            products = (
-                (tuple(map(add, e, exps)) if shift else e, v * c if scale else v)
-                for e, v in part.terms.items()
-            )
-        for e, v in products:
-            cur = terms.get(e)
-            terms[e] = v if cur is None else cur + v
+        at = self.i
+        token = tokens[at]
+        self.i += 1
+        space = (self.alphabet, self.nvars, self.conductor)
+        if token.isdecimal():
+            value = int(token)
+            if tokens[self.i] == "/":
+                k = self.i + 1
+                if not tokens[k].isdecimal():
+                    raise self.error("expected denominator", k)
+                den = int(tokens[k])
+                if not den:
+                    raise self.error("zero denominator", k)
+                self.i = k + 1
+                value = Fraction(value, den)
+            return MPoly.constant(value, *space)
+        if token == "zeta":
+            return MPoly.constant(CycloNum.zeta(self.conductor), *space)
+        if token[:1] == self.alphabet and token[1:2].isdecimal():
+            index = int(token[1:])
+            if not 1 <= index <= self.nvars:
+                raise self.error(
+                    f"variable {shorten(repr(token))} out of range", at, UnknownVariable
+                )
+            return MPoly.variable(index, *space)
+        if token == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
+            part = self.expr()
+            if tokens[self.i] != ")":
+                raise self.error("expected ')'", self.i)
+            self.i += 1
+            self.depth -= 1
+            return part
+        if token and token not in _OPERATORS:
+            raise self.error(f"unknown symbol {shorten(repr(token))}", at, UnknownVariable)
+        raise self.error(f"unexpected token {token!r}", at)
 
 
 # The printer's language, the text that str(MPoly) and str(CycloNum) write:

@@ -26,20 +26,12 @@ from .linalg import identity_matrix, solve_unique
 from .poly import MPoly, grlex_key, require_homogeneous, top_reduce, weighted_exponents
 
 
-@dataclass(frozen=True)
-class ExponentSet:
-    target: int
-    degrees: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-
-
-def exponent_set(target: int, degrees) -> ExponentSet:
+def exponent_set(target: int, degrees) -> tuple[tuple[int, ...], ...]:
     """All e >= 0 with sum e_i * degrees_i == target, lexicographic order."""
     degrees = tuple(degrees)
     if target < 0 or any(d <= 0 for d in degrees):
         raise ValueError("target must be >= 0 and degrees positive")
-    members = tuple(weighted_exponents(target, degrees))
-    return ExponentSet(target=target, degrees=degrees, members=members)
+    return tuple(weighted_exponents(target, degrees))
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,7 @@ class Rewriter:
         system = self._systems.get(degree)
         if system is not None:
             return system
-        members = exponent_set(degree, self.phi.degrees).members
+        members = exponent_set(degree, self.phi.degrees)
         if not members:
             raise NotInvariant(
                 f"degree {degree} is not a nonnegative combination of {self.phi.degrees}"

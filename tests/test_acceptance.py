@@ -192,7 +192,7 @@ def _random_weighted_poly(rng, degrees, max_total=6, conductor=12):
             break
     target = sum(e * d for e, d in zip(e0, degrees))
     members = [
-        e for e in exponent_set(target, degrees).members if sum(e) <= max_total
+        e for e in exponent_set(target, degrees) if sum(e) <= max_total
     ]
     terms = {}
     for e in members:

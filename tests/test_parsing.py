@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from reflconn.cyclo import CycloNum, euler_phi
 from reflconn.errors import ExprSyntaxError, ReflconnError, UnknownVariable
 from reflconn.parsing import (
+    MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_NESTING,
@@ -96,6 +97,7 @@ class TestErrors:
 _BIG = "9" * MAX_DIGITS
 _SUM_OF_40 = "(" + " + ".join(f"x1^{i}" for i in range(40)) + ")"
 _SUM_OF_51 = "(" + " + ".join(f"x2^{j}" for j in range(51)) + ")"
+_A = 2 ** (MAX_COEFF_BITS // 2) - 1
 
 # (text, nvars, error, message, position): one row per raise site of the
 # parser; nvars None parses the text with parse_scalar.  The message and the
@@ -147,6 +149,12 @@ ERROR_TABLE = {
     "coefficient_bound_of_part": (
         f"x1*(1/{_BIG} + 1/{'9' * (MAX_DIGITS - 1)}8)", 2, ExprSyntaxError,
         f"coefficient of more than {MAX_DIGITS} digits", 4,
+    ),
+    # (a*x1 + a*x2)^2 has the coefficient 2*a^2, one bit more than the bits
+    # of its two factors, which add up to the bound exactly
+    "coefficient_bound_of_product_of_parts": (
+        f"x3 + ({_A}*x1 + {_A}*x2)*({_A}*x1 + {_A}*x2)", 3, ExprSyntaxError,
+        f"coefficient of more than {MAX_DIGITS} digits", len(f"x3 + ({_A}*x1 + {_A}*x2)*"),
     ),
     "coefficient_bound_before_power": (
         f"x1 + ({'9' * 20}*x1)^200", 2, ExprSyntaxError,
@@ -404,8 +412,9 @@ class TestFlatSums:
         assert counts[1] < 40 * len(terms)
 
     def test_sum_of_monomials_makes_no_polynomial_product(self, monkeypatch):
-        # the 5,151 monomials of degree 100 in x1..x3: each term is one
-        # coefficient and one exponent vector, with no MPoly product
+        # the 5,151 monomials of degree 100 in x1..x3: the printed-form
+        # reader reads each term as one coefficient and one exponent
+        # vector, with no MPoly product, and never calls _Parser
         terms = [f"{i + j + 1}*x1^{100 - i - j}*x2^{i}*x3^{j}"
                  for i in range(101) for j in range(101 - i)]
         product = MPoly.__mul__
@@ -416,6 +425,7 @@ class TestFlatSums:
             return product(a, b)
 
         monkeypatch.setattr(MPoly, "__mul__", counting)
+        monkeypatch.setattr(_Parser, "parse", _unreachable)
         f = px(" + ".join(terms), nvars=3)
         assert len(f.terms) == len(terms) == 5151
         assert f.coefficient((0, 100, 0)) == 101
@@ -505,6 +515,81 @@ class TestParsedArithmetic:
         x = MPoly.variable(1, a.alphabet, a.nvars, a.conductor)
         expected = a * b * x * x * x * c
         assert _parse_like(f"-2*{v}^2*({a})*zeta^5*3/7*({b})*{v}", a) == expected
+
+
+# Blanks around an operator or a parenthesis, where they are insignificant
+_BLANKS = st.sampled_from(("", " ", "  "))
+
+
+@st.composite
+def _expression(draw, space, depth):
+    """A random expression of at most depth levels over space, (alphabet,
+    nvars, conductor), as (text, the MPoly that +, * and ** give on it,
+    kind).  The kind is "atom" for a number, zeta, a variable or a
+    parenthesised part, else "power", "product" or "sum"; a factor that
+    is not an atom or a power, and a power's base that is not an atom, is
+    parenthesised.  Numbers below 100 over denominators below 10, three
+    levels and powers up to 6 keep every degree and coefficient within
+    bounds; a product leaves out a factor that would break the term
+    bound, and a power's exponent is lowered until it keeps it."""
+    alphabet, nvars, n = space
+    blank = draw(_BLANKS)
+    kind = "atom"
+    if depth:
+        kind = draw(st.sampled_from(("atom", "part", "power", "product", "sum")))
+    if kind == "atom":
+        leaf = draw(st.sampled_from(("number", "zeta", "variable")))
+        if leaf == "number":
+            num, den = draw(st.integers(0, 99)), draw(st.integers(1, 9))
+            text = str(num) if den == 1 else f"{num}{blank}/{blank}{den}"
+            return text, MPoly.constant(Fraction(num, den), *space), kind
+        if leaf == "zeta":
+            return "zeta", MPoly.constant(CycloNum.zeta(n), *space), kind
+        i = draw(st.integers(1, nvars))
+        return f"{alphabet}{i}", MPoly.variable(i, *space), kind
+    if kind == "part":
+        text, p, _ = draw(_expression(space, depth - 1))
+        return f"({blank}{text}{blank})", p, "atom"
+    if kind == "power":
+        text, p, inner = draw(_expression(space, depth - 1))
+        e = draw(st.integers(0, 6))
+        while comb(max(len(p.terms), 1) + e - 1, e) > MAX_TERMS:
+            e -= 1
+        base = text if inner == "atom" else f"({text})"
+        return f"{base}{blank}^{blank}{e}", p ** e, kind
+    children = draw(st.lists(_expression(space, depth - 1), min_size=2, max_size=3))
+    if kind == "product":
+        factors, product = [], None
+        for text, p, inner in children:
+            if product is None or len(product.terms) * len(p.terms) <= MAX_TERMS:
+                factors.append(text if inner in ("atom", "power") else f"({text})")
+                product = p if product is None else product * p
+        return f"{blank}*{blank}".join(factors), product, kind
+    text, total = "", MPoly.zero(*space)
+    for k, (term, p, inner) in enumerate(children):
+        sign = draw(st.sampled_from(("", "-") if k == 0 else ("+", "-")))
+        text += sign if k == 0 else f"{blank}{sign}{blank}"
+        text += f"({term})" if inner == "sum" else term
+        total = total - p if sign == "-" else total + p
+    return text, total, kind
+
+
+@st.composite
+def expressions(draw):
+    """A random expression of three levels, at conductor 1, 5 or 12, as
+    (text with blanks around it, its MPoly, its space)."""
+    space = (draw(st.sampled_from("xz")), draw(st.integers(1, 3)), draw(st.sampled_from((1, 5, 12))))
+    text, p, _ = draw(_expression(space, 3))
+    return f"{draw(_BLANKS)}{text}{draw(_BLANKS)}", p, space
+
+
+class TestExpressionTrees:
+    @settings(max_examples=200, deadline=None)
+    @given(expressions())
+    def test_parser_gives_the_polynomial_of_the_tree(self, expression):
+        text, expected, space = expression
+        assert _Parser(text, *space).parse() == expected
+        assert parse_expr(text, *space) == expected
 
 
 # x3 is out of range at nvars 2, z1 of the wrong alphabet; " + " and " - "

@@ -219,8 +219,10 @@ class TestLinearFormPower:
 
     def test_affine_forms_take_no_product(self, monkeypatch):
         # the constant is one more multinomial slot, which adds no exponent;
-        # a sum of higher monomials takes the same walk
+        # a sum of higher monomials takes the same walk.  The bases are read
+        # before the count starts, since reading x1*x2 is a product
         form, ternary = px("x1 + 1"), px("x1 + x2 + 1")
+        squares, products = px("x1^2+x2^2+1"), px("x1*x2+x1+x2")
         expected = _repeated_product(form, 7)
         calls = []
         product = MPoly.__mul__
@@ -233,8 +235,8 @@ class TestLinearFormPower:
         assert form ** 7 == expected
         assert PowerTable([form, form]).power(1, 7) == expected
         assert len((ternary ** 61).terms) == 1953
-        assert len(px("(x1^2+x2^2+1)^61").terms) == 1953
-        assert len(px("(x1*x2+x1+x2)^61").terms) == 1953
+        assert len((squares ** 61).terms) == 1953
+        assert len((products ** 61).terms) == 1953
         assert not calls
 
 
